@@ -4,7 +4,7 @@ joint MLE of coefficients and loadings, analytical and split-panel
 jackknife bias corrections, HAC inference, and a Monte Carlo harness.
 """
 
-from .ape import ApeEstimate, PolicyPair, ape_estimate, partial_effect, partial_effect_derivs
+from .ape import ApeEstimate, PolicyPair, ape_estimate, partial_effect
 from .bias import (
     ApeBiasComponents,
     BetaBiasComponents,
@@ -13,7 +13,7 @@ from .bias import (
     correct_ape,
     correct_beta,
 )
-from .estimation import CceFit, FitOptions, fit_cce, objective, update_loadings
+from .estimation import CceFit, FitOptions, fit_cce, objective
 from .exceptions import (
     CcePanelError,
     InitializationError,
@@ -37,7 +37,7 @@ from .inference import (
     beta_covariance,
     confidence_interval,
 )
-from .jackknife import SpjResult, spj_combine, spj_correct_ape, spj_correct_beta
+from .jackknife import SpjResult, spj, spj_combine
 from .likelihood import Family, index_derivative, log_density
 from .panel import Panel, read_panel_csv, write_panel_csv
 from .simulate import DgpConfig, DgpDraw, McTable, generate, run_grid
@@ -84,13 +84,10 @@ __all__ = [
     "log_density",
     "objective",
     "partial_effect",
-    "partial_effect_derivs",
     "read_panel_csv",
     "run_grid",
     "second_moment_matrix",
+    "spj",
     "spj_combine",
-    "spj_correct_ape",
-    "spj_correct_beta",
-    "update_loadings",
     "write_panel_csv",
 ]

@@ -50,18 +50,6 @@ class ApeEstimate:
     policy: PolicyPair
 
 
-@dataclass(frozen=True)
-class PartialEffectDerivs:
-    """Analytic derivatives of the partial effect at one (beta, c) point."""
-
-    d_beta: np.ndarray
-    d_c: float
-    d_cc: float
-    d_beta_c: np.ndarray
-    d_beta_beta: np.ndarray
-    d_ccc: float
-
-
 def _policy_indices(beta, c, policy: PolicyPair):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != policy.x0.shape:
@@ -78,27 +66,6 @@ def partial_effect(family: Family, beta, c, policy: PolicyPair) -> float:
     validate_index(family, np.stack([z0, z1]))
     out = response_mean(family, z1) - response_mean(family, z0)
     return float(out) if np.ndim(out) == 0 else np.asarray(out)
-
-
-def partial_effect_derivs(family: Family, beta, c, policy: PolicyPair) -> PartialEffectDerivs:
-    """All derivatives of the partial effect needed by bias and variance formulas."""
-    z0, z1 = _policy_indices(beta, c, policy)
-    validate_index(family, np.stack([z0, z1]))
-    g0 = response_mean_deriv(family, z0, 1)
-    g1 = response_mean_deriv(family, z1, 1)
-    g0p = response_mean_deriv(family, z0, 2)
-    g1p = response_mean_deriv(family, z1, 2)
-    g0pp = response_mean_deriv(family, z0, 3)
-    g1pp = response_mean_deriv(family, z1, 3)
-    return PartialEffectDerivs(
-        d_beta=g1 * policy.x1 - g0 * policy.x0,
-        d_c=float(g1 - g0),
-        d_cc=float(g1p - g0p),
-        d_beta_c=g1p * policy.x1 - g0p * policy.x0,
-        d_beta_beta=g1p * np.outer(policy.x1, policy.x1)
-        - g0p * np.outer(policy.x0, policy.x0),
-        d_ccc=float(g1pp - g0pp),
-    )
 
 
 def policy_grid(family: Family, beta, c_grid: np.ndarray, policy: PolicyPair):

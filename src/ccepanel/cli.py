@@ -26,7 +26,7 @@ from .factors import (
     estimate_rank_threshold,
 )
 from .inference import ape_variance, beta_covariance, confidence_interval
-from .jackknife import spj_correct_ape, spj_correct_beta
+from .jackknife import spj
 from .likelihood import Family
 from .panel import Panel, read_panel_csv
 from .simulate import ESTIMATORS, run_grid
@@ -72,8 +72,9 @@ def run_estimate(args) -> dict:
         raise InvalidInputError(
             f"rank {r} outside 1..k={panel.n_covariates}"
         )
+    opts = FitOptions(loading_bound=args.loading_bound)
     fe = estimate_factors(panel, r)
-    fit = fit_cce(panel, fe, family, FitOptions(loading_bound=args.loading_bound))
+    fit = fit_cce(panel, fe, family, opts)
     if not fit.converged:
         raise NumericalError(
             f"estimation did not converge after {fit.iterations} iterations "
@@ -105,16 +106,16 @@ def run_estimate(args) -> dict:
     if args.correction == "analytical":
         beta_corrected = correct_beta(fit, bias, n, t)
     elif args.correction == "spj":
-        spj = spj_correct_beta(panel, family, r, full_fit=fit)
-        if not spj.converged:
+        spj_beta, spj_ape = spj(panel, family, r, opts, policy, full=(fe, fit))
+        if not spj_beta.converged:
             raise NumericalError(
-                f"jackknife subsample fits failed to converge: {spj.failures}"
+                f"jackknife subsample fits failed to converge: {spj_beta.failures}"
             )
-        beta_corrected = np.asarray(spj.corrected)
+        beta_corrected = np.asarray(spj_beta.corrected)
         spj_block = {
-            "full": list(spj.full),
-            "half_units": [list(np.asarray(v)) for v in spj.half_n],
-            "half_periods": [list(np.asarray(v)) for v in spj.half_t],
+            "full": list(spj_beta.full),
+            "half_units": [list(np.asarray(v)) for v in spj_beta.half_n],
+            "half_periods": [list(np.asarray(v)) for v in spj_beta.half_t],
             "corrected": list(beta_corrected),
         }
 
@@ -134,11 +135,6 @@ def run_estimate(args) -> dict:
             ape_corrected = correct_ape(ape, bias, ape_bias, n, t)
             ape_point = ape_corrected
         elif args.correction == "spj":
-            spj_ape = spj_correct_ape(panel, family, r, policy)
-            if not spj_ape.converged:
-                raise NumericalError(
-                    f"jackknife subsample fits failed to converge: {spj_ape.failures}"
-                )
             ape_corrected = float(spj_ape.corrected)
             ape_point = ape_corrected
         sigma2 = ape_variance(panel, fit, fe, family, bias, ape_bias, args.bandwidth)

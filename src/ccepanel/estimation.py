@@ -80,16 +80,6 @@ class CceFit:
     objective_path: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-@dataclass
-class LoadingUpdate:
-    """Result of a single-unit loading solve."""
-
-    loading: np.ndarray
-    converged: bool
-    bound_hit: bool
-    iterations: int
-
-
 def _check_dimensions(panel: Panel, factors: FactorEstimate, beta, loadings):
     n, t, k = panel.covariates.shape
     f = factors.factors
@@ -434,48 +424,3 @@ def fit_cce(
         objective_path=np.asarray(path),
     )
 
-
-def update_loadings(
-    unit_outcomes,
-    unit_covariates,
-    factors: FactorEstimate,
-    family: Family,
-    beta,
-    lambda_init,
-    opts: FitOptions | None = None,
-) -> LoadingUpdate:
-    """Newton solve of one unit's loading subproblem at fixed coefficients.
-
-    Returns the box-projected stationary point; ``converged`` is False
-    whenever the unprojected score stays large -- in particular when the
-    loading bound is hit, the separation case.
-    """
-    opts = opts or FitOptions()
-    y = np.asarray(unit_outcomes, dtype=float)
-    x = np.asarray(unit_covariates, dtype=float)
-    f = factors.factors
-    beta = np.asarray(beta, dtype=float)
-    if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise InvalidInputError("unit data must be a T-vector and a T x k matrix")
-    validate_outcomes(family, y)
-    t = y.shape[0]
-    bound = opts.loading_bound
-    lam = np.clip(np.asarray(lambda_init, dtype=float), -bound, bound)[None, :]
-    z_base = (x @ beta)[None, :]
-    if not index_in_domain(family, z_base + lam @ f.T):
-        raise InitializationError("initial loading gives an out-of-domain index")
-
-    lam = lam.copy()
-    lam, z, _, _, rounds = _solve_loadings(
-        family, y[None, :], z_base, f, lam, bound, opts.grad_tolerance,
-        inner_max=opts.max_iterations, halving_max=opts.step_halving_max,
-    )
-    l1 = _index_derivative_unchecked(family, y[None, :], z, 1)
-    raw_norm = float(np.abs(l1 @ f).max()) / t
-    bound_hit = bool(np.any(np.abs(lam) >= bound))
-    return LoadingUpdate(
-        loading=lam[0],
-        converged=raw_norm <= opts.grad_tolerance and not bound_hit,
-        bound_hit=bound_hit,
-        iterations=rounds,
-    )

@@ -20,7 +20,7 @@ import numpy as np
 from .ape import PolicyPair, ape_estimate
 from .estimation import CceFit, FitOptions, fit_cce
 from .exceptions import InvalidInputError
-from .factors import estimate_factors
+from .factors import FactorEstimate, estimate_factors
 from .likelihood import Family
 from .panel import Panel
 
@@ -60,65 +60,45 @@ def split_half_panels(panel: Panel):
     )
 
 
-def _pipeline(panel: Panel, family: Family, r: int, opts, policy):
-    fe = estimate_factors(panel, r)
-    fit = fit_cce(panel, fe, family, opts)
-    if policy is None:
-        return fit.beta, fit.converged
-    return ape_estimate(fit, fe, family, policy).value, fit.converged
-
-
-def _spj(panel: Panel, family: Family, r: int, opts, policy, full_stat=None):
-    (n1, n2), (t1, t2) = split_half_panels(panel)
-    failures = []
-    if full_stat is None:
-        full_stat, ok = _pipeline(panel, family, r, opts, policy)
-        if not ok:
-            failures.append("full")
-    stats = []
-    for name, sub in (("units-1", n1), ("units-2", n2), ("periods-1", t1), ("periods-2", t2)):
-        stat, ok = _pipeline(sub, family, r, opts, policy)
-        if not ok:
-            failures.append(name)
-        stats.append(stat)
-    half_n = (stats[0], stats[1])
-    half_t = (stats[2], stats[3])
-    return SpjResult(
-        full=full_stat,
-        half_n=half_n,
-        half_t=half_t,
-        corrected=spj_combine(full_stat, half_n, half_t),
-        converged=not failures,
-        failures=failures,
-    )
-
-
-def spj_correct_beta(
-    panel: Panel, family: Family, r: int, opts: FitOptions | None = None,
-    full_fit: CceFit | None = None,
-) -> SpjResult:
-    """Jackknife-corrected coefficient vector.
-
-    ``full_fit`` lets callers that already fitted the full panel skip the
-    duplicate run; the subsample pipelines always run from scratch.
-    """
-    full_stat = None
-    if full_fit is not None:
-        full_stat = full_fit.beta
-        if not full_fit.converged:
-            res = _spj(panel, family, r, opts, None, full_stat=full_stat)
-            res.failures.insert(0, "full")
-            res.converged = False
-            return res
-    return _spj(panel, family, r, opts, None, full_stat=full_stat)
-
-
-def spj_correct_ape(
+def spj(
     panel: Panel,
     family: Family,
     r: int,
-    policy: PolicyPair,
     opts: FitOptions | None = None,
-) -> SpjResult:
-    """Jackknife-corrected average partial effect."""
-    return _spj(panel, family, r, opts, policy)
+    policy: PolicyPair | None = None,
+    full: tuple[FactorEstimate, CceFit] | None = None,
+) -> tuple[SpjResult, SpjResult | None]:
+    """Jackknife-corrected coefficients and, given ``policy``, APE.
+
+    Both results come from the same five two-step fits (the full panel and
+    its four halves), all run with ``opts``.  ``full`` is the
+    ``(factors, fit)`` of a full-panel fit the caller already holds; it is
+    used as is, and reported in ``failures`` if it did not converge.
+    Returns ``(beta, ape)``; ``ape`` is None without a policy.
+    """
+    halves = split_half_panels(panel)
+    if full is None:
+        fe = estimate_factors(panel, r)
+        full = (fe, fit_cce(panel, fe, family, opts))
+    names = ("full", "units-1", "units-2", "periods-1", "periods-2")
+    runs = [full]
+    for sub in (*halves[0], *halves[1]):
+        fe = estimate_factors(sub, r)
+        runs.append((fe, fit_cce(sub, fe, family, opts)))
+    failures = [name for name, (_, fit) in zip(names, runs) if not fit.converged]
+
+    def combine(stats):
+        half_n, half_t = (stats[1], stats[2]), (stats[3], stats[4])
+        return SpjResult(
+            full=stats[0],
+            half_n=half_n,
+            half_t=half_t,
+            corrected=spj_combine(stats[0], half_n, half_t),
+            converged=not failures,
+            failures=failures,
+        )
+
+    beta = combine([fit.beta for _, fit in runs])
+    if policy is None:
+        return beta, None
+    return beta, combine([ape_estimate(fit, fe, family, policy).value for fe, fit in runs])

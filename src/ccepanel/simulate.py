@@ -25,7 +25,7 @@ from .estimation import FitOptions, fit_cce
 from .exceptions import InvalidInputError, NumericalError
 from .factors import estimate_factors
 from .inference import beta_covariance
-from .jackknife import spj_combine, split_half_panels
+from .jackknife import spj
 from .likelihood import Family, response_mean
 from .panel import Panel
 
@@ -221,18 +221,9 @@ def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir
 
     spj_value = None
     if "spj" in estimators:
-        (h1, h2), (h3, h4) = split_half_panels(panel)
-        halves = []
-        ok = True
-        for sub in (h1, h2, h3, h4):
-            sfe = estimate_factors(sub, TRUE_RANK)
-            sfit = fit_cce(sub, sfe, family, _FIT_OPTIONS)
-            ok = ok and sfit.converged
-            halves.append(float(sfit.beta[0]))
-        if ok:
-            spj_value = spj_combine(
-                fit.beta[0], (halves[0], halves[1]), (halves[2], halves[3])
-            )
+        spj_beta = spj(panel, family, TRUE_RANK, _FIT_OPTIONS, full=(fe, fit))[0]
+        if spj_beta.converged:
+            spj_value = spj_beta.corrected[0]
             out["spj_ok"] = True
 
     for bw in l_values:

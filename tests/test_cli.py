@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,29 @@ def test_estimate_spj_report_carries_identity(sim_csv, tmp_path):
         atol=0,
     )
     assert_allclose(np.array(report["beta"]["corrected"]), np.array(spj["corrected"]))
+
+
+def test_estimate_spj_fits_every_subsample_once_with_the_loading_bound(
+    sim_csv, tmp_path, monkeypatch
+):
+    # the full fit and the four half-panel fits, each under --loading-bound
+    opts_seen = []
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.split(".")[0] == "ccepanel" and callable(vars(m).get("fit_cce"))]
+    for module in modules:
+        def recording(panel, factors, family, opts=None, _fit=module.fit_cce):
+            opts_seen.append(opts)
+            return _fit(panel, factors, family, opts)
+
+        monkeypatch.setattr(module, "fit_cce", recording)
+    code = main([
+        "estimate", "--input", sim_csv, "--family", "logit", "--correction", "spj",
+        "--loading-bound", "30", "--policy-x0", "0,0,0,0", "--policy-x1", "1,0,0,0",
+        "--json", str(tmp_path / "spj.json"),
+    ])
+    assert code == 0
+    assert len(opts_seen) == 5
+    assert all(opts is not None and opts.loading_bound == 30 for opts in opts_seen)
 
 
 def test_factors_command(sim_csv, tmp_path, capsys):

@@ -5,6 +5,7 @@ from scipy.optimize import minimize
 
 import ccepanel as cp
 from ccepanel import FitOptions, InitializationError, InvalidInputError
+from ccepanel.estimation import _solve_loadings
 from ccepanel.likelihood import Family
 from conftest import logit_test_panel, make_factor_estimate
 
@@ -211,20 +212,35 @@ def test_fit_options_validation():
 # per-unit loading updates
 # --------------------------------------------------------------------- #
 
+TOL = FitOptions().grad_tolerance
+
+
+def _solve_unit_loading(family, y, x, f, beta, bound=1e3, inner_max=200):
+    """One unit's loading solve at fixed beta, as a 1 x T panel, from zero.
+
+    Returns the loading and the raw (unprojected) scaled score at it.
+    """
+    t, r = f.shape
+    y = np.asarray(y, dtype=float)[None, :]
+    lam, z, _, _, _ = _solve_loadings(
+        family, y, (x @ beta)[None, :], f, np.zeros((1, r)), bound, TOL,
+        inner_max=inner_max, halving_max=50,
+    )
+    raw_score = float(np.abs(cp.index_derivative(family, y, z, 1) @ f).max()) / t
+    return lam[0], raw_score
+
 
 def test_update_loadings_separation_hits_bound():
     # a single binary observation cannot identify the loading; the bound is
     # set below the point where the logistic score numerically underflows,
     # so the box constraint binds
-    fe = make_factor_estimate(np.array([[1.0]]))
-    opts = FitOptions(loading_bound=8.0, max_iterations=300)
-    res = cp.update_loadings(
-        np.array([1.0]), np.zeros((1, 1)), fe, Family.LOGIT, np.zeros(1),
-        np.zeros(1), opts,
+    lam, raw_score = _solve_unit_loading(
+        Family.LOGIT, [1.0], np.zeros((1, 1)), np.array([[1.0]]), np.zeros(1),
+        bound=8.0, inner_max=300,
     )
-    assert res.bound_hit
-    assert not res.converged
-    assert_allclose(res.loading, [8.0])
+    assert np.any(np.abs(lam) >= 8.0)
+    assert raw_score > TOL
+    assert_allclose(lam, [8.0])
 
 
 def test_update_loadings_gaussian_mean(rng):
@@ -232,10 +248,9 @@ def test_update_loadings_gaussian_mean(rng):
     y = rng.standard_normal(t) + 2.0
     x = rng.standard_normal((t, 2))
     beta = np.array([0.4, -0.2])
-    fe = make_factor_estimate(np.ones((t, 1)), k=2)
-    res = cp.update_loadings(y, x, fe, Family.GAUSSIAN, beta, np.zeros(1))
-    assert res.converged
-    assert_allclose(res.loading[0], np.mean(y - x @ beta), atol=1e-10)
+    lam, raw_score = _solve_unit_loading(Family.GAUSSIAN, y, x, np.ones((t, 1)), beta)
+    assert raw_score <= TOL and np.all(np.abs(lam) < 1e3)
+    assert_allclose(lam[0], np.mean(y - x @ beta), atol=1e-10)
 
 
 def test_update_loadings_matches_grid_search(rng):
@@ -245,9 +260,8 @@ def test_update_loadings_matches_grid_search(rng):
     x = rng.standard_normal((t, 2))
     beta = np.array([0.3, -0.6])
     y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-    fe = make_factor_estimate(f, k=2)
-    res = cp.update_loadings(y, x, fe, Family.LOGIT, beta, np.zeros(r))
-    assert res.converged
+    lam, raw_score = _solve_unit_loading(Family.LOGIT, y, x, f, beta)
+    assert raw_score <= TOL and np.all(np.abs(lam) < 1e3)
 
     offset = x @ beta
 
@@ -261,4 +275,4 @@ def test_update_loadings_matches_grid_search(rng):
     )
     refined = minimize(negloglik, np.array(best), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 5000})
-    assert np.abs(res.loading - refined.x).max() < 1e-3
+    assert np.abs(lam - refined.x).max() < 1e-3

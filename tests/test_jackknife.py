@@ -46,7 +46,7 @@ def test_split_requires_minimum_size():
 
 def test_spj_beta_small_panel(rng):
     panel = logit_test_panel(rng, n=24, t=20, k=2)
-    res = cp.spj_correct_beta(panel, Family.LOGIT, 1)
+    res, _ = cp.spj(panel, Family.LOGIT, 1)
     assert res.converged
     assert_allclose(
         res.corrected,
@@ -57,16 +57,30 @@ def test_spj_beta_small_panel(rng):
 
 def test_spj_reuses_supplied_full_fit(rng):
     panel = logit_test_panel(rng, n=16, t=14, k=2)
+    pol = PolicyPair(np.zeros(2), np.array([1.0, 0.0]))
     fe = cp.estimate_factors(panel, 1)
     fit = cp.fit_cce(panel, fe, Family.LOGIT)
-    res = cp.spj_correct_beta(panel, Family.LOGIT, 1, full_fit=fit)
+    res, ape = cp.spj(panel, Family.LOGIT, 1, policy=pol, full=(fe, fit))
     assert_allclose(res.full, fit.beta, atol=0)
+    assert ape.full == cp.ape_estimate(fit, fe, Family.LOGIT, pol).value
+    assert ape.failures is res.failures
+
+
+def test_spj_reports_unconverged_supplied_full_fit(rng):
+    panel = logit_test_panel(rng, n=16, t=14, k=2)
+    fe = cp.estimate_factors(panel, 1)
+    fit = cp.fit_cce(panel, fe, Family.LOGIT, cp.FitOptions(max_iterations=1))
+    assert not fit.converged
+    beta, ape = cp.spj(panel, Family.LOGIT, 1, full=(fe, fit))
+    assert ape is None
+    assert not beta.converged
+    assert beta.failures[0] == "full"
 
 
 def test_spj_ape_zero_policy(rng):
     panel = logit_test_panel(rng, n=12, t=12, k=2)
     pol = PolicyPair(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    res = cp.spj_correct_ape(panel, Family.LOGIT, 1, pol)
+    _, res = cp.spj(panel, Family.LOGIT, 1, policy=pol)
     assert res.full == 0.0
     assert res.corrected == 0.0
     assert res.half_n == (0.0, 0.0) and res.half_t == (0.0, 0.0)
@@ -76,8 +90,8 @@ def test_unit_permutation_changes_only_unit_halves(rng):
     panel = logit_test_panel(rng, n=20, t=16, k=2)
     perm = rng.permutation(panel.n_units)
     shuffled = cp.Panel(panel.outcomes[perm], panel.covariates[perm])
-    a = cp.spj_correct_beta(panel, Family.LOGIT, 1)
-    b = cp.spj_correct_beta(shuffled, Family.LOGIT, 1)
+    a, _ = cp.spj(panel, Family.LOGIT, 1)
+    b, _ = cp.spj(shuffled, Family.LOGIT, 1)
     # the full estimate and the time halves are symmetric in unit order
     assert_allclose(a.full, b.full, atol=1e-7)
     assert_allclose(a.half_t[0], b.half_t[0], atol=1e-7)

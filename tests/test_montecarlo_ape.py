@@ -45,7 +45,7 @@ def _ape_replications(n, t, reps, base_seed, with_spj=False):
             "cover": abs(corrected - draw.true_ape) <= 1.959963984540054 * se,
         }
         if with_spj:
-            spj = cp.spj_correct_ape(draw.panel, Family.LOGIT, TRUE_RANK, POLICY, OPTS)
+            _, spj = cp.spj(draw.panel, Family.LOGIT, TRUE_RANK, OPTS, POLICY, full=(fe, fit))
             if not spj.converged:
                 continue
             row["spj"] = spj.corrected - draw.true_ape
