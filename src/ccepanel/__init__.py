@@ -8,6 +8,7 @@ from .ape import ApeEstimate, PolicyPair, ape_estimate, partial_effect
 from .bias import (
     ApeBiasComponents,
     BetaBiasComponents,
+    bartlett_weight,
     compute_ape_bias,
     compute_beta_bias,
     correct_ape,
@@ -33,7 +34,6 @@ from .factors import (
 from .inference import (
     InferenceResult,
     ape_variance,
-    bartlett_weight,
     beta_covariance,
     confidence_interval,
 )

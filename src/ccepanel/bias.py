@@ -5,7 +5,8 @@ uncorrected fit: per-unit information blocks in the factor directions,
 the projected-out regressors, HAC-weighted score outer products, and the
 four bias pieces for each of the two estimators (two of order 1/T from
 the loading estimation error, two of order 1/N from the factor estimation
-error).  Double time sums are reorganized by lag so the cost is linear in
+error).  Every kernel-weighted double time sum goes through
+``lag_cross_sum``, which reorganizes it by lag so the cost is linear in
 the bandwidth instead of quadratic in T; the equivalence with the naive
 double sums is oracle-tested.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .ape import ApeEstimate, PolicyPair, policy_grid
 from .estimation import CceFit
-from .exceptions import NumericalError
+from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
 from .likelihood import Family, _index_derivative_unchecked
 from .panel import Panel
@@ -99,17 +100,34 @@ class ApeBiasComponents:
     proj_if: np.ndarray = field(repr=False, default=None)  # gamma_i' A^-1 f_t, (N,T)
 
 
-def kernel_lags(bandwidth: int, n_periods: int | None = None):
-    """Positive lags with nonzero Bartlett weight and their weights.
+def bartlett_weight(lag: int, bandwidth: int) -> float:
+    """Triangular kernel weight at the given lag; bandwidth 0 keeps lag 0 only."""
+    if bandwidth < 0:
+        raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
+    lag = abs(int(lag))
+    if bandwidth == 0:
+        return 1.0 if lag == 0 else 0.0
+    return max(0.0, 1.0 - lag / bandwidth)
 
-    The weight at lag equal to the bandwidth is exactly zero, so only lags
-    strictly below it appear; lags at or beyond the panel length are
-    dropped because no pair of periods realizes them.
+
+def lag_cross_sum(a: np.ndarray, b: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Bartlett-weighted double time sum per unit (Newey-West 1987).
+
+    ``a`` is (N,T,p) and ``b`` (N,T,q); the result is the (N,p,q) array of
+    sum over t, s of k((t-s)/bandwidth) a_it b_is'.  The weight at lag
+    equal to the bandwidth is exactly zero and lags at or beyond T pair no
+    periods, so only lags below min(bandwidth, T) are visited.
     """
-    if bandwidth <= 0:
-        return []
-    top = bandwidth if n_periods is None else min(bandwidth, n_periods)
-    return [(lag, 1.0 - lag / bandwidth) for lag in range(1, top)]
+    if bandwidth < 0:
+        raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
+    t = a.shape[1]
+    at = a.transpose(0, 2, 1)
+    total = at @ b
+    for lag in range(1, min(bandwidth, t)):
+        # s = t + lag, then s = t - lag
+        cross = at[:, :, : t - lag] @ b[:, lag:] + at[:, :, lag:] @ b[:, : t - lag]
+        total += bartlett_weight(lag, bandwidth) * cross
+    return total
 
 
 def _condition_check(mats: np.ndarray, label: str):
@@ -158,9 +176,9 @@ def compute_beta_bias(
     carries the kernel-weighted sample matrices.
     """
     if bandwidth < 0:
-        raise NumericalError(f"bandwidth must be non-negative, got {bandwidth}")
+        raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
     if score_outer_product not in ("information", "hac"):
-        raise NumericalError(
+        raise InvalidInputError(
             f"score_outer_product must be 'information' or 'hac', got {score_outer_product!r}"
         )
     x = panel.covariates
@@ -168,6 +186,7 @@ def compute_beta_bias(
     f = factors.factors
     lam = fit.loadings
     n, t, k = x.shape
+    r = f.shape[1]
     z = fit.index
 
     l1 = np.asarray(_index_derivative_unchecked(family, y, z, 1), dtype=float)
@@ -194,12 +213,8 @@ def compute_beta_bias(
     e_hat = x - np.einsum("nkr,tr->ntk", gamma_mat, f)
 
     # HAC score outer product per unit in the factor directions
-    q_i = np.einsum("nt,tr,ts->nrs", l1 * l1, f, f, optimize=True)
-    for lag, w in kernel_lags(bandwidth, t):
-        prod = l1[:, : t - lag] * l1[:, lag:]
-        block = np.einsum("nt,tr,tq->nrq", prod, f[: t - lag], f[lag:], optimize=True)
-        q_i += w * (block + block.transpose(0, 2, 1))
-    q_i /= t
+    l1f = l1[..., None] * f
+    q_i = lag_cross_sum(l1f, l1f, bandwidth) / t
 
     c_t = np.einsum("nt,ntk,nr->tkr", l2, xdot, lam, optimize=True) / n
     d_tj = np.einsum("nt,nr,njq->tjrq", l2, lam, ba_inv, optimize=True) / n
@@ -210,20 +225,10 @@ def compute_beta_bias(
     quad = np.einsum("tr,nrq,tq->nt", f, m_i, f, optimize=True)
     b1 = -0.5 * np.einsum("nt,ntk->k", l3 * quad, xdot) / (n * t)
 
-    fa = np.einsum("nrq,tq->ntr", a_inv, f)  # A_i^{-1} f_t
-    b2 = np.einsum("nt,ntk->k", l2 * l1 * np.einsum("tr,ntr->nt", f, fa), xdot)
-    for lag, w in kernel_lags(bandwidth, t):
-        # s = t + lag
-        phi = np.einsum("tr,ntr->nt", f[: t - lag], fa[:, lag:])
-        b2 += w * np.einsum(
-            "nt,ntk->k", l2[:, : t - lag] * l1[:, lag:] * phi, xdot[:, : t - lag]
-        )
-        # s = t - lag
-        phi = np.einsum("tr,ntr->nt", f[lag:], fa[:, : t - lag])
-        b2 += w * np.einsum(
-            "nt,ntk->k", l2[:, lag:] * l1[:, : t - lag] * phi, xdot[:, lag:]
-        )
-    b2 /= n * t
+    # sum over t, s of k((t-s)/L) l2_it l1_is xdot_it f_t' A_i^{-1} f_s
+    l2xf = (l2[..., None, None] * xdot[..., None] * f[:, None, :]).reshape(n, t, k * r)
+    cross = lag_cross_sum(l2xf, l1f, bandwidth).reshape(n, k, r, r)
+    b2 = np.einsum("nkrs,nrs->k", cross, a_inv) / (n * t)
 
     upsilon = factors.eigenvectors.T  # (r,k)
     e_load = np.einsum("ntk,nk->nt", e_hat, lam @ upsilon)
@@ -309,18 +314,8 @@ def compute_ape_bias(
 
     b3 = float(np.sum(curv * beta_bias.quad_AQA)) / (n * t)
 
-    fa = np.einsum("nrq,tq->ntr", beta_bias.A_inv, f)
-    b4 = float(np.sum(l2 * l1 * np.einsum("tr,ntr->nt", f, fa) * proj_if))
-    for lag, w in kernel_lags(bandwidth, t):
-        phi = np.einsum("tr,ntr->nt", f[: t - lag], fa[:, lag:])
-        b4 += w * float(
-            np.sum(l2[:, : t - lag] * l1[:, lag:] * phi * proj_if[:, : t - lag])
-        )
-        phi = np.einsum("tr,ntr->nt", f[lag:], fa[:, : t - lag])
-        b4 += w * float(
-            np.sum(l2[:, lag:] * l1[:, : t - lag] * phi * proj_if[:, lag:])
-        )
-    b4 /= n * t
+    cross = lag_cross_sum((l2 * proj_if)[..., None] * f, l1[..., None] * f, bandwidth)
+    b4 = float(np.einsum("nrs,nrs->", cross, beta_bias.A_inv)) / (n * t)
 
     d3 = -float(np.sum(proj_if * l2 * beta_bias.e_load)) / (n * t)
 

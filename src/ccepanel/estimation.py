@@ -54,8 +54,13 @@ class FitOptions:
 
     def __post_init__(self):
         for name in ("grad_tolerance", "max_iterations", "loading_bound", "step_halving_max"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails this too
                 raise InvalidInputError(f"FitOptions.{name} must be positive")
+        if not np.isfinite(self.grad_tolerance):
+            raise InvalidInputError("FitOptions.grad_tolerance must be finite")
+        for name in ("max_iterations", "step_halving_max"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidInputError(f"FitOptions.{name} must be an integer")
 
 
 @dataclass
@@ -148,6 +153,35 @@ def _freeze_system(h, g, frozen):
     return h, g
 
 
+def _line_search(trial, obj, g, step, scale, halving_max):
+    """Batched backtracking Armijo search, one row per subproblem.
+
+    Rows whose ``step`` is not an ascent direction for the score ``g``
+    search along ``g / scale``; rows without a positive slope even then
+    are not accepted.  ``trial(rows, step, alpha)`` gives those rows'
+    objectives at ``alpha * step`` (-inf outside the domain); alpha halves
+    from 1 until the sufficient-increase test passes up to rounding-level
+    slack.  Returns steps, step sizes, objectives and accepted rows.
+    """
+    step = np.where((np.sum(g * step, axis=1) > 0)[:, None], step, g / scale)
+    slope = np.sum(g * step, axis=1)
+    alpha, obj = np.ones(obj.size), obj.copy()
+    pending = slope > 0
+    for _ in range(halving_max):
+        rows = np.flatnonzero(pending)
+        if rows.size == 0:
+            break
+        obj_trial = trial(rows, step[rows], alpha[rows])
+        slack = _EPS_SLACK * (1.0 + np.abs(obj[rows]))
+        ok = np.isfinite(obj_trial) & (
+            obj_trial >= obj[rows] + _ARMIJO * alpha[rows] * slope[rows] - slack
+        )
+        obj[rows[ok]] = obj_trial[ok]
+        pending[rows[ok]] = False
+        alpha[rows[~ok]] *= 0.5
+    return step, alpha, obj, (slope > 0) & ~pending
+
+
 def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_max):
     """Batched per-unit Newton for the loading subproblems at fixed beta.
 
@@ -193,37 +227,22 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
         over = big > _STEP_CAP
         if over.any():
             step[over] *= (_STEP_CAP / big[over])[:, None]
-        slope = np.sum(g_proj * step, axis=1)
-        fallback = slope <= 0
-        if fallback.any():
-            step[fallback] = g_proj[fallback] / t
-            slope[fallback] = np.sum(g_proj[fallback] * step[fallback], axis=1)
 
-        alpha = np.ones(act.size)
-        remaining = np.ones(act.size, dtype=bool)
-        obj_a = obj[act]
-        for _ in range(halving_max):
-            rid = np.flatnonzero(remaining)
-            if rid.size == 0:
-                break
-            trial = np.clip(lama[rid] + alpha[rid, None] * step[rid], -bound, bound)
-            z_trial = z_base[act[rid]] + trial @ f.T
-            obj_trial = _log_density_unchecked(family, ya[rid], z_trial).sum(axis=1)
-            slack = _EPS_SLACK * (1.0 + np.abs(obj_a[rid]))
-            ok = np.isfinite(obj_trial) & (
-                obj_trial >= obj_a[rid] + _ARMIJO * alpha[rid] * slope[rid] - slack
-            )
+        lam_c, z_c = np.empty_like(lama), np.empty_like(za)
+
+        def trial(rows, step, alpha):
+            lam_c[rows] = np.clip(lama[rows] + alpha[:, None] * step, -bound, bound)
+            z_c[rows] = z_base[act[rows]] + lam_c[rows] @ f.T
+            obj_c = _log_density_unchecked(family, ya[rows], z_c[rows]).sum(axis=1)
             if family is Family.POISSON:
-                ok &= (z_trial > 0.0).all(axis=1)
-            acc = rid[ok]
-            lam[act[acc]] = trial[ok]
-            z[act[acc]] = z_trial[ok]
-            obj[act[acc]] = obj_trial[ok]
-            remaining[acc] = False
-            alpha[rid[~ok]] *= 0.5
-        if remaining.any():
-            n_stalled += int(remaining.sum())
-            act = act[~remaining]
+                obj_c = np.where((z_c[rows] > 0.0).all(axis=1), obj_c, -np.inf)
+            return obj_c
+
+        _, _, obj[act], ok = _line_search(trial, obj[act], g_proj, step, t, halving_max)
+        lam[act[ok]] = lam_c[ok]
+        z[act[ok]] = z_c[ok]
+        n_stalled += int((~ok).sum())
+        act = act[ok]
 
     return lam, z, obj, n_stalled, rounds
 
@@ -253,21 +272,17 @@ def _pooled_beta(family: Family, y, x, opts: FitOptions) -> np.ndarray:
             step = -_solve_neg_definite(h, g)
         except np.linalg.LinAlgError:
             step = g / (n * t)
-        slope = float(g @ step)
-        if slope <= 0:
-            step, slope = g / (n * t), float(g @ g) / (n * t)
-        alpha, accepted = 1.0, False
-        for _ in range(opts.step_halving_max):
-            cand = beta + alpha * step
-            z_c = x @ cand
-            obj_c = float(_log_density_unchecked(family, y, z_c).sum())
-            slack = _EPS_SLACK * (1.0 + abs(obj))
-            if np.isfinite(obj_c) and obj_c >= obj + _ARMIJO * alpha * slope - slack:
-                beta, z, obj, accepted = cand, z_c, obj_c, True
-                break
-            alpha *= 0.5
-        if not accepted:
+
+        def trial(rows, step, alpha):
+            return _log_density_unchecked(family, y, x @ (beta + alpha * step[0])).sum()[None]
+
+        step, alpha, obj_c, ok = _line_search(
+            trial, np.array([obj]), g[None], step[None], n * t, opts.step_halving_max
+        )
+        if not ok[0]:
             break
+        beta = beta + alpha[0] * step[0]
+        z, obj = x @ beta, float(obj_c[0])
     return beta
 
 
@@ -386,29 +401,21 @@ def fit_cce(
             db = -_solve_neg_definite(schur, rhs)
         except np.linalg.LinAlgError:
             break
-        slope = float(gb @ db)
-        if not np.isfinite(slope) or slope <= 0:
-            db = gb / (n * t)
-            slope = float(gb @ db)
-            if slope <= 0:
-                break
-        dz = x @ db
-        alpha, accepted = 1.0, False
-        for _ in range(opts.step_halving_max):
-            z_c = z + alpha * dz
-            if index_in_domain(family, z_c):
-                obj_c = float(_log_density_unchecked(family, y, z_c).sum())
-                slack = _EPS_SLACK * (1.0 + abs(obj))
-                if np.isfinite(obj_c) and obj_c >= obj + _ARMIJO * alpha * slope - slack:
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
+
+        def trial(rows, step, alpha):
+            z_c = z + alpha[0] * (x @ step[0])
+            ok = index_in_domain(family, z_c)
+            return np.array([_log_density_unchecked(family, y, z_c).sum() if ok else -np.inf])
+
+        db, alpha, obj_c, ok = _line_search(
+            trial, np.array([obj]), gb[None], db[None], n * t, opts.step_halving_max
+        )
+        if not ok[0]:
             break
-        beta = beta + alpha * db
-        z_base = z_base + alpha * dz
+        beta = beta + alpha[0] * db[0]
+        z_base = z_base + alpha[0] * (x @ db[0])
         iterations += 1
-        path.append(obj_c / (n * t))
+        path.append(float(obj_c[0]) / (n * t))
 
     index = x @ beta + lam @ f.T
     bound_hits = int(np.sum(np.any(np.abs(lam) >= bound, axis=1)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .bias import ApeBiasComponents, BetaBiasComponents, kernel_lags
+from .bias import ApeBiasComponents, BetaBiasComponents, lag_cross_sum
 from .estimation import CceFit
 from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
@@ -35,16 +35,6 @@ class InferenceResult:
     ape_variance: float | None = None
 
 
-def bartlett_weight(lag: int, bandwidth: int) -> float:
-    """Triangular kernel weight at the given lag; bandwidth 0 keeps lag 0 only."""
-    if bandwidth < 0:
-        raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
-    lag = abs(int(lag))
-    if bandwidth == 0:
-        return 1.0 if lag == 0 else 0.0
-    return max(0.0, 1.0 - lag / bandwidth)
-
-
 def influence_scores(bias: BetaBiasComponents) -> np.ndarray:
     """Cellwise influence scores of the coefficient estimator, (N,T,k).
 
@@ -53,22 +43,6 @@ def influence_scores(bias: BetaBiasComponents) -> np.ndarray:
     """
     correction = np.einsum("tkr,ntr->ntk", bias.C_t, bias.e_rot)
     return bias.l1[:, :, None] * bias.xdot + correction
-
-
-def _kernel_outer_sum(values: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Bartlett-weighted sum over units and time pairs of outer products.
-
-    ``values`` has shape (N,T,k); the result is the k x k sum over
-    i, t, s of values_it values_is' k((t-s)/bandwidth).
-    """
-    t = values.shape[1]
-    total = np.einsum("ntk,ntl->kl", values, values, optimize=True)
-    for lag, w in kernel_lags(bandwidth, t):
-        cross = np.einsum(
-            "ntk,ntl->kl", values[:, : t - lag], values[:, lag:], optimize=True
-        )
-        total += w * (cross + cross.T)
-    return total
 
 
 def beta_covariance(
@@ -88,7 +62,7 @@ def beta_covariance(
     """
     n, t = panel.outcomes.shape
     w = influence_scores(bias)
-    omega = _kernel_outer_sum(w, bandwidth) / (n * t)
+    omega = lag_cross_sum(w, w, bandwidth).sum(axis=0) / (n * t)
     omega = 0.5 * (omega + omega.T)  # purge rounding asymmetry
     try:
         half = np.linalg.solve(bias.Delta, omega)
@@ -132,9 +106,7 @@ def ape_variance(
         + np.einsum("tr,ntr->nt", rf_minus_gt, bias.e_rot)
         + bias.l1 * ape_bias.proj_if
     )
-    total = float(np.sum(v * v))
-    for lag, wgt in kernel_lags(bandwidth, t):
-        total += 2.0 * wgt * float(np.sum(v[:, : t - lag] * v[:, lag:]))
+    total = float(lag_cross_sum(v[..., None], v[..., None], bandwidth).sum())
     return max(total / (n * t), 0.0)
 
 

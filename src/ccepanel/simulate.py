@@ -293,6 +293,8 @@ def run_grid(
     if bad:
         raise InvalidInputError(f"unknown estimators: {sorted(bad)}")
     l_values = [int(v) for v in l_values]
+    if min(l_values, default=0) < 0:
+        raise InvalidInputError(f"bandwidths must be non-negative, got {l_values}")
     if emit_dir is not None:
         os.makedirs(emit_dir, exist_ok=True)
 

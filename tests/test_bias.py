@@ -1,10 +1,12 @@
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ccepanel as cp
-from ccepanel import NumericalError, PolicyPair
-from ccepanel.bias import kernel_lags
+from ccepanel import InvalidInputError, NumericalError, PolicyPair
+from ccepanel.bias import lag_cross_sum
 from ccepanel.likelihood import Family
 from conftest import make_factor_estimate, make_fit
 
@@ -43,16 +45,43 @@ def _random_policy(rng, family_name, k):
     return PolicyPair(x0, x1)
 
 
+def _oracle_degenerate(family_name, raw):
+    """Whether the loop oracle's per-unit information blocks A_i (each
+    against the largest across the panel, as the package measures them) or
+    its curvature matrix Delta have condition number above 1e10."""
+    y, x, f, psi, beta, lam = raw
+    with np.errstate(all="ignore"):
+        try:
+            ob = orc.beta_bias(family_name, y, x, f, psi, beta, lam, 0)
+        except np.linalg.LinAlgError:
+            return True  # the oracle cannot even invert its blocks
+    sv = np.linalg.svd(ob["A_i"], compute_uv=False)
+    cond_a = sv.max() / np.maximum(sv.min(axis=-1), np.finfo(float).tiny)
+    return bool(cond_a.max() > 1e10 or not np.linalg.cond(ob["Delta"]) <= 1e10)
+
+
 @pytest.mark.parametrize("family_name", ["logit", "poisson", "gaussian"])
 def test_bias_components_match_loop_oracle(family_name):
-    rng = np.random.default_rng(abs(hash(family_name)) % 2**32)
+    # a stable seed: str hashes are randomized per process.  Small poisson
+    # draws are sometimes degenerate (a unit with fewer positive counts than
+    # factors, or a near-singular Delta); the package must refuse exactly
+    # those, and drawing continues until six instances have been compared.
+    rng = np.random.default_rng(zlib.crc32(family_name.encode()))
     family = Family.from_string(family_name)
-    for _ in range(6):
+    compared = 0
+    for _ in range(60):
+        if compared == 6:
+            break
         panel, fe, fit, raw, bw = _random_instance(rng, family_name)
         y, x, f, psi, beta, lam = raw
-        bb = cp.compute_beta_bias(
-            panel, fit, fe, family, bandwidth=bw, score_outer_product="hac"
-        )
+        try:
+            bb = cp.compute_beta_bias(
+                panel, fit, fe, family, bandwidth=bw, score_outer_product="hac"
+            )
+        except NumericalError as exc:
+            assert _oracle_degenerate(family_name, raw), f"{family_name}: {exc}"
+            continue
+        compared += 1
         ob = orc.beta_bias(family_name, y, x, f, psi, beta, lam, bw)
         for key in BETA_FIELDS:
             assert_allclose(
@@ -81,6 +110,7 @@ def test_bias_components_match_loop_oracle(family_name):
                 np.asarray(getattr(ab, key)), np.asarray(oa[key]), atol=1e-10,
                 err_msg=f"{family_name} L={bw} ape field {key}",
             )
+    assert compared == 6
 
 
 def test_bandwidth_zero_keeps_contemporaneous_score_products(rng):
@@ -93,13 +123,31 @@ def test_bandwidth_zero_keeps_contemporaneous_score_products(rng):
     assert_allclose(bb.Q_i, want, atol=1e-12)
 
 
-def test_kernel_lags_drop_zero_weights():
-    assert kernel_lags(0) == []
-    assert kernel_lags(1) == []  # weight at the bandwidth itself is zero
-    assert kernel_lags(3) == [(1, pytest.approx(2 / 3)), (2, pytest.approx(1 / 3))]
-    assert kernel_lags(10, n_periods=4) == [
-        (1, pytest.approx(0.9)), (2, pytest.approx(0.8)), (3, pytest.approx(0.7))
-    ]
+def test_lag_cross_sum_matches_double_loop(rng):
+    n, t, p, q = 3, 5, 2, 3
+    a = rng.standard_normal((n, t, p))
+    b = rng.standard_normal((n, t, q))
+    for bw in range(t + 3):  # includes bandwidths at and beyond T
+        want = np.zeros((n, p, q))
+        for i in range(n):
+            for s in range(t):
+                for u in range(t):
+                    want[i] += orc.bartlett(s - u, bw) * np.outer(a[i, s], b[i, u])
+        assert_allclose(lag_cross_sum(a, b, bw), want, atol=1e-12, err_msg=f"L={bw}")
+    # the weight at the bandwidth itself is zero
+    assert_allclose(lag_cross_sum(a, b, 1), lag_cross_sum(a, b, 0), atol=0)
+    with pytest.raises(InvalidInputError):
+        lag_cross_sum(a, b, -1)
+
+
+def test_beta_bias_input_errors_come_first(rng):
+    panel, fe, fit, _, _ = _random_instance(rng, "logit")
+    bad = make_fit(fit.beta, np.full_like(fit.loadings, 600.0), fe, panel)
+    # a degenerate fit would raise NumericalError, so these must raise earlier
+    with pytest.raises(InvalidInputError, match="bandwidth"):
+        cp.compute_beta_bias(panel, bad, fe, Family.LOGIT, bandwidth=-1)
+    with pytest.raises(InvalidInputError, match="score_outer_product"):
+        cp.compute_beta_bias(panel, bad, fe, Family.LOGIT, score_outer_product="sandwich")
 
 
 def test_correct_beta_identities(rng):

@@ -146,6 +146,19 @@ def test_simulate_command(tmp_path, capsys):
     assert table_csv.exists()
 
 
+def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys):
+    code = main(["estimate", "--input", sim_csv, "--family", "logit", "--bandwidth", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bandwidth" in err and "separation" not in err
+
+
+def test_simulate_negative_bandwidth_is_input_error(capsys):
+    code = main(["simulate", "--n", "30", "--t", "30", "--reps", "2", "--bandwidth", "-1"])
+    assert code == 2
+    assert "bandwidth" in capsys.readouterr().err
+
+
 def test_unknown_estimator_is_input_error():
     assert main([
         "simulate", "--n", "20", "--t", "20", "--reps", "1", "--estimators", "raw,bogus",

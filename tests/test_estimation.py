@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 
 import ccepanel as cp
 from ccepanel import FitOptions, InitializationError, InvalidInputError
-from ccepanel.estimation import _solve_loadings
+from ccepanel.estimation import _line_search, _solve_loadings
 from ccepanel.likelihood import Family
 from conftest import logit_test_panel, make_factor_estimate
 
@@ -206,6 +206,55 @@ def test_fit_options_validation():
         FitOptions(grad_tolerance=0.0)
     with pytest.raises(InvalidInputError):
         FitOptions(max_iterations=0)
+
+
+@pytest.mark.parametrize("field", ["grad_tolerance", "max_iterations", "loading_bound",
+                                   "step_halving_max"])
+def test_fit_options_reject_nan(field):
+    with pytest.raises(InvalidInputError, match=field):
+        FitOptions(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grad_tolerance": float("inf")},
+    {"max_iterations": 2.5},
+    {"step_halving_max": 2.5},
+    {"max_iterations": float("inf")},
+], ids=["grad_tolerance=inf", "max_iterations=2.5", "step_halving_max=2.5",
+        "max_iterations=inf"])
+def test_fit_options_reject_non_finite_and_non_integral(kwargs):
+    with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
+        FitOptions(**kwargs)
+
+
+# --------------------------------------------------------------------- #
+# the shared Armijo line search
+# --------------------------------------------------------------------- #
+
+
+def test_line_search_fallback_rejection_and_zero_slope():
+    # row 0: a descent step, searched along g / scale instead, accepted at
+    # alpha = 1/2; row 1: -inf (outside the domain) at every alpha; row 2:
+    # zero score, so no ascent direction exists and it is never tried
+    obj = np.array([0.0, 1.0, 2.0])
+    g = np.array([[4.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    step = np.array([[-1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    tried = []
+
+    def trial(rows, step, alpha):
+        tried.extend(rows.tolist())
+        move = alpha[:, None] * step
+        value = obj[rows] + np.sum(g[rows] * move, axis=1) - 2.0 * np.sum(move * move, axis=1)
+        return np.where(rows == 1, -np.inf, value)
+
+    new_step, alpha, new_obj, accepted = _line_search(trial, obj, g, step, 2.0, 6)
+    assert accepted.tolist() == [True, False, False]
+    assert_allclose(new_step[0], [2.0, 0.0], atol=0)
+    assert_allclose(new_step[1], [1.0, 1.0], atol=0)  # an ascent step is kept
+    assert alpha[0] == 0.5 and alpha[1] == 0.5**6
+    assert new_obj.tolist() == [2.0, 1.0, 2.0]
+    assert obj.tolist() == [0.0, 1.0, 2.0]  # the input is not modified
+    assert 2 not in tried and tried.count(1) == 6 and tried.count(0) == 2
 
 
 # --------------------------------------------------------------------- #

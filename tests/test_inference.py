@@ -57,6 +57,18 @@ def test_ape_variance_matches_triple_loop(bw, rng):
     assert_allclose(got, want, atol=1e-10)
 
 
+def test_negative_bandwidth_is_input_error(rng):
+    panel, fe, fit, family, bias, _ = _instance(rng, "logit")
+    with pytest.raises(InvalidInputError, match="bandwidth"):
+        cp.beta_covariance(panel, fit, fe, family, bias, bandwidth=-3)
+    pol = PolicyPair(np.array([0.1, -0.2]), np.array([0.6, 0.4]))
+    ape_bias = cp.compute_ape_bias(panel, fit, fe, family, pol, bias, bandwidth=1)
+    with pytest.raises(InvalidInputError, match="bandwidth"):
+        cp.ape_variance(panel, fit, fe, family, bias, ape_bias, bandwidth=-3)
+    with pytest.raises(InvalidInputError, match="bandwidth"):
+        cp.compute_ape_bias(panel, fit, fe, family, pol, bias, bandwidth=-3)
+
+
 def test_ape_variance_zero_policy(rng):
     panel, fe, fit, family, bias, _ = _instance(rng, "logit")
     pol = PolicyPair(np.array([0.4, 0.4]), np.array([0.4, 0.4]))
@@ -73,12 +85,13 @@ def test_covariance_properties(rng):
 
 
 def test_omega_psd_under_bartlett(rng):
-    from ccepanel.inference import _kernel_outer_sum, influence_scores
+    from ccepanel.bias import lag_cross_sum
+    from ccepanel.inference import influence_scores
 
     for bw in (0, 1, 3):
         panel, fe, fit, family, bias, _ = _instance(rng, "logit", n=5, t=7, bw=bw)
         w = influence_scores(bias)
-        omega = _kernel_outer_sum(w, bw) / w.shape[0] / w.shape[1]
+        omega = lag_cross_sum(w, w, bw).sum(axis=0) / w.shape[0] / w.shape[1]
         eig = np.linalg.eigvalsh(0.5 * (omega + omega.T))
         assert eig.min() >= -1e-8 * np.trace(omega)
 

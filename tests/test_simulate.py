@@ -112,6 +112,8 @@ def test_run_grid_validates_inputs():
     with pytest.raises(InvalidInputError):
         cp.run_grid(sizes=[(10, 10)], serial=False, l_values=[0], n_reps=1,
                     estimators=("raw", "magic"))
+    with pytest.raises(InvalidInputError, match="bandwidth"):
+        cp.run_grid(sizes=[(10, 10)], serial=False, l_values=[1, -1], n_reps=1)
 
 
 def test_mctable_csv_round_trip(tmp_path):
