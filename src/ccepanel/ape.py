@@ -20,7 +20,7 @@ import numpy as np
 from .estimation import CceFit
 from .exceptions import InvalidInputError
 from .factors import FactorEstimate
-from .likelihood import Family, response_mean, response_mean_deriv, validate_index
+from .likelihood import Family, response_curve, validate_index
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,23 @@ class ApeEstimate:
     policy: PolicyPair
 
 
-def _policy_indices(beta, c, policy: PolicyPair):
+def _policy_indices(family: Family, beta, c, policy: PolicyPair):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != policy.x0.shape:
         raise InvalidInputError(
             f"beta has shape {beta.shape} but policy vectors have {policy.x0.shape}"
         )
     c = np.asarray(c, dtype=float)
-    return beta @ policy.x0 + c, beta @ policy.x1 + c
+    z0, z1 = beta @ policy.x0 + c, beta @ policy.x1 + c
+    validate_index(family, z0)
+    validate_index(family, z1)
+    return z0, z1
 
 
 def partial_effect(family: Family, beta, c, policy: PolicyPair) -> float:
     """Response-mean difference between the two policy index values."""
-    z0, z1 = _policy_indices(beta, c, policy)
-    validate_index(family, np.stack([z0, z1]))
-    out = response_mean(family, z1) - response_mean(family, z0)
+    z0, z1 = _policy_indices(family, beta, c, policy)
+    out = response_curve(family, z1, 0)[0] - response_curve(family, z0, 0)[0]
     return float(out) if np.ndim(out) == 0 else np.asarray(out)
 
 
@@ -74,12 +76,9 @@ def policy_grid(family: Family, beta, c_grid: np.ndarray, policy: PolicyPair):
     Returns (d_c, d_cc, d_beta) with shapes matching ``c_grid`` for the
     scalars and ``c_grid.shape + (k,)`` for the beta gradient.
     """
-    z0, z1 = _policy_indices(beta, c_grid, policy)
-    validate_index(family, np.stack([z0, z1]))
-    g0 = response_mean_deriv(family, z0, 1)
-    g1 = response_mean_deriv(family, z1, 1)
-    g0p = response_mean_deriv(family, z0, 2)
-    g1p = response_mean_deriv(family, z1, 2)
+    z0, z1 = _policy_indices(family, beta, c_grid, policy)
+    _, g0, g0p = response_curve(family, z0, 2)
+    _, g1, g1p = response_curve(family, z1, 2)
     d_c = g1 - g0
     d_cc = g1p - g0p
     d_beta = g1[..., None] * policy.x1 - g0[..., None] * policy.x0
@@ -96,14 +95,5 @@ def ape_estimate(
     the factor/loading pair.
     """
     c = fit.loadings @ factors.factors.T
-    z0, z1 = _policy_indices(fit.beta, c, policy)
-    if family is Family.POISSON:
-        bad = np.stack([z0, z1])
-        if np.any(bad <= 0):
-            which = np.argwhere((z0 <= 0) | (z1 <= 0))[0]
-            raise InvalidInputError(
-                "poisson index non-positive at policy evaluation for unit "
-                f"{which[0]}, period {which[1]}"
-            )
-    value = float(np.mean(response_mean(family, z1) - response_mean(family, z0)))
+    value = float(np.mean(partial_effect(family, fit.beta, c, policy)))
     return ApeEstimate(value=value, policy=policy)

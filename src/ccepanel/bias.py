@@ -25,7 +25,7 @@ from .ape import ApeEstimate, PolicyPair, policy_grid
 from .estimation import CceFit
 from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
-from .likelihood import Family, _index_derivative_unchecked
+from .likelihood import Family, _index_derivatives
 from .panel import Panel
 
 _COND_LIMIT = 1e10
@@ -189,9 +189,7 @@ def compute_beta_bias(
     r = f.shape[1]
     z = fit.index
 
-    l1 = np.asarray(_index_derivative_unchecked(family, y, z, 1), dtype=float)
-    l2 = np.asarray(_index_derivative_unchecked(family, y, z, 2), dtype=float)
-    l3 = np.asarray(_index_derivative_unchecked(family, y, z, 3), dtype=float)
+    l1, l2, l3 = _index_derivatives(family, y, z, 3)
 
     a_i = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True) / t
     _condition_check(a_i, "per-unit information block in the factor directions")

@@ -29,7 +29,7 @@ from .inference import ape_variance, beta_covariance, confidence_interval
 from .jackknife import spj
 from .likelihood import Family
 from .panel import Panel, read_panel_csv
-from .simulate import ESTIMATORS, run_grid
+from .simulate import run_grid
 
 SCHEMA_VERSION = 1
 
@@ -44,26 +44,29 @@ def _parse_vector(text: str, k: int, name: str) -> np.ndarray:
     return vals
 
 
-def _choose_rank(panel: Panel, args) -> dict:
-    threshold = args.threshold
+def _rank_rules(panel: Panel, threshold: float | None) -> dict:
+    """The threshold (default min(N,T)^(-1/3)) and both rank-rule estimates."""
     if threshold is None:
         threshold = default_threshold(panel.n_units, panel.n_periods)
-    r_hat = estimate_rank_threshold(panel, threshold)
-    r_tilde = estimate_rank_ratio(panel) if panel.n_covariates >= 2 else None
-    if args.rank is not None:
-        used, method = args.rank, "user"
-    else:
-        used, method = r_hat, "threshold"
     return {
-        "used": used,
-        "method": method,
         "threshold": threshold,
-        "r_threshold": r_hat,
-        "r_ratio": r_tilde,
+        "r_threshold": estimate_rank_threshold(panel, threshold),
+        "r_ratio": estimate_rank_ratio(panel) if panel.n_covariates >= 2 else None,
     }
 
 
+def _choose_rank(panel: Panel, args) -> dict:
+    rules = _rank_rules(panel, args.threshold)
+    if args.rank is not None:
+        return {"used": args.rank, "method": "user", **rules}
+    return {"used": rules["r_threshold"], "method": "threshold", **rules}
+
+
 def run_estimate(args) -> dict:
+    if args.bandwidth < 0:
+        raise InvalidInputError(f"bandwidth must be non-negative, got {args.bandwidth}")
+    if not 0.0 < args.level < 1.0:
+        raise InvalidInputError(f"confidence level must be in (0, 1), got {args.level}")
     panel = read_panel_csv(args.input)
     family = Family.from_string(args.family)
     rank_info = _choose_rank(panel, args)
@@ -237,12 +240,8 @@ def _print_estimate_report(report: dict, out=None):
 
 def run_factors(args) -> dict:
     panel = read_panel_csv(args.input)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = default_threshold(panel.n_units, panel.n_periods)
-    r_hat = estimate_rank_threshold(panel, threshold)
-    r_tilde = estimate_rank_ratio(panel) if panel.n_covariates >= 2 else None
-    fe = estimate_factors(panel, r_hat)
+    rules = _rank_rules(panel, args.threshold)
+    fe = estimate_factors(panel, rules["r_threshold"])
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(",".join(f"f{j}" for j in range(1, fe.r + 1)) + "\n")
@@ -251,18 +250,13 @@ def run_factors(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "eigenvalues": list(fe.eigenvalues),
-        "threshold": threshold,
-        "r_threshold": r_hat,
-        "r_ratio": r_tilde,
+        **rules,
         "factors_csv": args.output,
     }
 
 
 def run_simulate(args) -> dict:
     estimators = tuple(s.strip() for s in args.estimators.split(",") if s.strip())
-    bad = set(estimators) - set(ESTIMATORS)
-    if bad:
-        raise InvalidInputError(f"unknown estimators: {sorted(bad)}")
     table = run_grid(
         sizes=[(args.n, args.t)],
         serial=args.serial,

@@ -28,9 +28,9 @@ from .exceptions import InitializationError, InvalidInputError
 from .factors import FactorEstimate
 from .likelihood import (
     Family,
-    _index_derivative_unchecked,
+    _index_derivatives,
     _log_density_unchecked,
-    index_in_domain,
+    log_density,
     validate_outcomes,
 )
 from .panel import Panel
@@ -104,15 +104,8 @@ def _check_dimensions(panel: Panel, factors: FactorEstimate, beta, loadings):
 def objective(panel: Panel, factors: FactorEstimate, family: Family, beta, loadings) -> float:
     """Average log likelihood over all N*T cells at the given parameters."""
     beta, loadings = _check_dimensions(panel, factors, beta, loadings)
-    validate_outcomes(family, panel.outcomes)
     z = panel.covariates @ beta + loadings @ factors.factors.T
-    if family is Family.POISSON and np.any(z <= 0.0):
-        i, t = np.argwhere(z <= 0.0)[0]
-        raise InvalidInputError(
-            f"poisson index non-positive at unit {i}, period {t} (z={z[i, t]:.6g})"
-        )
-    vals = _log_density_unchecked(family, panel.outcomes, z)
-    return float(vals.mean())
+    return float(log_density(family, panel.outcomes, z).mean())
 
 
 def _solve_neg_definite(h, rhs):
@@ -204,7 +197,7 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
         rounds += 1
         ya = y[act]
         za = z[act]
-        l1 = _index_derivative_unchecked(family, ya, za, 1)
+        l1, l2 = _index_derivatives(family, ya, za, 2)
         g = l1 @ f
         lama = lam[act]
         frozen = _frozen(lama, g, bound)
@@ -215,8 +208,7 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
             if act.size == 0:
                 break
             ya, za, lama = ya[live], za[live], lama[live]
-            g, frozen, g_proj = g[live], frozen[live], g_proj[live]
-        l2 = _index_derivative_unchecked(family, ya, za, 2)
+            g, frozen, g_proj, l2 = g[live], frozen[live], g_proj[live], l2[live]
         h = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
         h, gf = _freeze_system(h, g, frozen)
         try:
@@ -233,10 +225,7 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
         def trial(rows, step, alpha):
             lam_c[rows] = np.clip(lama[rows] + alpha[:, None] * step, -bound, bound)
             z_c[rows] = z_base[act[rows]] + lam_c[rows] @ f.T
-            obj_c = _log_density_unchecked(family, ya[rows], z_c[rows]).sum(axis=1)
-            if family is Family.POISSON:
-                obj_c = np.where((z_c[rows] > 0.0).all(axis=1), obj_c, -np.inf)
-            return obj_c
+            return _log_density_unchecked(family, ya[rows], z_c[rows]).sum(axis=1)
 
         _, _, obj[act], ok = _line_search(trial, obj[act], g_proj, step, t, halving_max)
         lam[act[ok]] = lam_c[ok]
@@ -262,11 +251,10 @@ def _pooled_beta(family: Family, y, x, opts: FitOptions) -> np.ndarray:
     z = x @ beta
     obj = float(_log_density_unchecked(family, y, z).sum())
     for _ in range(50):
-        l1 = _index_derivative_unchecked(family, y, z, 1)
+        l1, l2 = _index_derivatives(family, y, z, 2)
         g = np.einsum("nt,ntk->k", l1, x)
         if np.max(np.abs(g)) / (n * t) <= 1e-6:
             break
-        l2 = _index_derivative_unchecked(family, y, z, 2)
         h = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
         try:
             step = -_solve_neg_definite(h, g)
@@ -353,14 +341,14 @@ def fit_cce(
         beta = np.zeros(k)
         margin = 1e-2 * (1.0 + float(y.mean()))
         lam = np.clip(_poisson_feasible_loadings(y, f, margin), -bound, bound)
-        if not index_in_domain(family, x @ beta + lam @ f.T):
-            raise InitializationError("poisson start is infeasible")
     else:
         beta = _pooled_beta(family, y, x, opts)
         lam = np.zeros((n, r))
 
     z_base = x @ beta
     path = [float(_log_density_unchecked(family, y, z_base + lam @ f.T).mean())]
+    if not np.isfinite(path[0]):
+        raise InitializationError(f"{family.value} start is infeasible (non-finite objective)")
     converged = False
     grad_norm = np.inf
     iterations = 0
@@ -373,7 +361,7 @@ def fit_cce(
         obj = float(obj_units.sum())
         path.append(obj / (n * t))
 
-        l1 = _index_derivative_unchecked(family, y, z, 1)
+        l1, l2 = _index_derivatives(family, y, z, 2)
         gb = np.einsum("nt,ntk->k", l1, x)
         grad_norm = max(
             float(np.abs(gb).max()) / (n * t),
@@ -384,7 +372,6 @@ def fit_cce(
             break
 
         # profile Newton step for the coefficients
-        l2 = _index_derivative_unchecked(family, y, z, 2)
         hb = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
         hbl = np.einsum("nt,ntk,tr->nkr", l2, x, f, optimize=True)
         hll = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
@@ -404,8 +391,7 @@ def fit_cce(
 
         def trial(rows, step, alpha):
             z_c = z + alpha[0] * (x @ step[0])
-            ok = index_in_domain(family, z_c)
-            return np.array([_log_density_unchecked(family, y, z_c).sum() if ok else -np.inf])
+            return np.array([_log_density_unchecked(family, y, z_c).sum()])
 
         db, alpha, obj_c, ok = _line_search(
             trial, np.array([obj]), gb[None], db[None], n * t, opts.step_halving_max

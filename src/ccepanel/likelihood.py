@@ -17,6 +17,7 @@ gaussian  real y, least-squares objective -(y - z)^2
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 
 import numpy as np
@@ -69,53 +70,89 @@ def validate_outcomes(family: Family, y: np.ndarray) -> None:
 
 
 def validate_index(family: Family, z: np.ndarray) -> None:
-    """Raise if any index value is outside the family domain (poisson: z > 0)."""
+    """Raise if any index value is outside the family domain (finite; poisson:
+    z > 0), naming the first offending (unit, period) of a 2-d index."""
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("index values must be finite")
-    if family is Family.POISSON and np.any(z <= 0.0):
-        raise InvalidInputError(
-            "poisson requires a strictly positive index (z > 0)"
-        )
-
-
-def index_in_domain(family: Family, z: np.ndarray) -> bool:
-    """Fast domain predicate used by line searches (no exception)."""
-    z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
-        return False
-    if family is Family.POISSON:
-        return bool(np.all(z > 0.0))
-    return True
-
-
-# --------------------------------------------------------------------- #
-# probit helpers: derivatives of log Phi via the hazard h = phi / Phi.
-# h satisfies h' = -z h - h^2, so higher orders follow by recursion; the
-# log-CDF is evaluated with log_ndtr so the tails (|z| > 6) stay accurate.
-# --------------------------------------------------------------------- #
+    bad = ~np.isfinite(z)
+    message = "index values must be finite"
+    if family is Family.POISSON and not bad.any():
+        bad = z <= 0.0
+        message = "poisson requires a strictly positive index (z > 0)"
+    if bad.any():
+        if z.ndim == 2:
+            i, t = np.argwhere(bad)[0]
+            message += f"; first at unit {i}, period {t} (z={z[i, t]:.6g})"
+        raise InvalidInputError(message)
 
 
 def _norm_logpdf(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
-def _probit_hazard(z):
-    return np.exp(_norm_logpdf(z) - special.log_ndtr(z))
+# --------------------------------------------------------------------- #
+# derivative ladders: each yields one order after another from a single
+# transcendental evaluation, so a caller pays for the orders it takes.
+# --------------------------------------------------------------------- #
 
 
-def _logphi_derivs(z, order: int):
-    """Derivatives of log Phi(z) up to ``order`` (returns the last one)."""
-    h = _probit_hazard(z)
-    if order == 1:
-        return h
+def _logistic_curve(z):
+    """Yield the logistic CDF G = expit(z), then g = G(1 - G), g', g''."""
+    G = special.expit(z)
+    yield G
+    g = G * (1.0 - G)
+    yield g
+    u = 1.0 - 2.0 * G
+    yield g * u
+    yield g * u ** 2 - 2.0 * g * g
+
+
+def _logphi_ladder(z):
+    """Yield the derivatives of log Phi at z through the hazard h = phi / Phi.
+
+    h satisfies h' = -z h - h^2, so higher orders follow by recursion; the
+    log-CDF is evaluated with log_ndtr so the tails (|z| > 6) stay accurate.
+    """
+    h = np.exp(_norm_logpdf(z) - special.log_ndtr(z))
+    yield h
     d2 = -h * (z + h)
-    if order == 2:
-        return d2
-    d3 = -h - (z + 2.0 * h) * d2
-    if order == 3:
-        return d3
-    return -2.0 * d2 - 2.0 * d2 * d2 - (z + 2.0 * h) * d3
+    yield d2
+    zh = z + 2.0 * h
+    d3 = -h - zh * d2
+    yield d3
+    yield -2.0 * d2 - 2.0 * d2 * d2 - zh * d3
+
+
+def _index_ladder(family: Family, y, z):
+    """Yield l_1, l_2, l_3, l_4: the derivatives of log L(y, z) in z."""
+    if family is Family.LOGIT:
+        # l = y z - log(1 + e^z): l_1 = y - G, then l_(j+1) = -G^(j)
+        curve = _logistic_curve(z)
+        yield y - next(curve)
+        for d in curve:
+            yield -d
+    elif family is Family.PROBIT:
+        # l(1, z) = log Phi(z), l(0, z) = log Phi(-z); combine both branches
+        # through the symmetry d^j/dz^j log Phi(-z) = (-1)^j psi_j(-z).
+        sign = 1.0
+        for pos, neg in zip(_logphi_ladder(z), _logphi_ladder(-z)):
+            sign = -sign
+            yield y * pos + (1.0 - y) * (neg * sign)
+    elif family is Family.POISSON:
+        yield y / z - 1.0
+        yield -y / z**2
+        yield 2.0 * y / z**3
+        yield -6.0 * y / z**4
+    else:  # gaussian: -(y - z)^2
+        shape = np.broadcast_shapes(np.shape(y), np.shape(z))
+        yield 2.0 * (y - z)
+        yield np.full(shape, -2.0)
+        yield np.zeros(shape)
+        yield np.zeros(shape)
+
+
+def _index_derivatives(family: Family, y, z, order: int) -> tuple:
+    """(l_1, ..., l_order) at one index, for float arrays in the domain."""
+    return tuple(itertools.islice(_index_ladder(family, y, z), order))
 
 
 # --------------------------------------------------------------------- #
@@ -147,6 +184,8 @@ def log_density(family: Family, y, z):
 
 
 def _log_density_unchecked(family: Family, y, z):
+    """Log density at valid outcomes; -inf at poisson cells with z <= 0, so
+    a line-search trial outside the domain is rejected by its objective."""
     if family is Family.LOGIT:
         # log G(z) = log_expit(z), log(1 - G(z)) = log_expit(-z)
         return np.asarray(
@@ -157,7 +196,9 @@ def _log_density_unchecked(family: Family, y, z):
             y * special.log_ndtr(z) + (1.0 - y) * special.log_ndtr(-z)
         )
     if family is Family.POISSON:
-        return np.asarray(y * np.log(z) - z - special.gammaln(y + 1.0))
+        inside = z > 0.0
+        log_z = np.log(np.where(inside, z, 1.0))
+        return np.where(inside, y * log_z - z - special.gammaln(y + 1.0), -np.inf)
     return np.asarray(-((y - z) ** 2))
 
 
@@ -169,43 +210,8 @@ def index_derivative(family: Family, y, z, order: int):
     z_arr = np.asarray(z, dtype=float)
     validate_outcomes(family, y_arr)
     validate_index(family, z_arr)
-    out = _index_derivative_unchecked(family, y_arr, z_arr, order)
-    out = np.asarray(out)
+    out = np.asarray(_index_derivatives(family, y_arr, z_arr, order)[-1])
     return out if out.ndim else float(out)
-
-
-def _index_derivative_unchecked(family: Family, y, z, order: int):
-    if family is Family.LOGIT:
-        G = special.expit(z)
-        if order == 1:
-            return y - G
-        g = G * (1.0 - G)
-        if order == 2:
-            return -g
-        if order == 3:
-            return -g * (1.0 - 2.0 * G)
-        return -(g * (1.0 - 2.0 * G) ** 2 - 2.0 * g * g)
-    if family is Family.PROBIT:
-        # l(1, z) = log Phi(z), l(0, z) = log Phi(-z); combine both branches
-        # through the symmetry d^j/dz^j log Phi(-z) = (-1)^j psi_j(-z).
-        pos = _logphi_derivs(z, order)
-        neg = _logphi_derivs(-z, order) * ((-1.0) ** order)
-        return y * pos + (1.0 - y) * neg
-    if family is Family.POISSON:
-        if order == 1:
-            return y / z - 1.0
-        if order == 2:
-            return -y / z**2
-        if order == 3:
-            return 2.0 * y / z**3
-        return -6.0 * y / z**4
-    # gaussian: -(y - z)^2
-    shape = np.broadcast_shapes(np.shape(y), np.shape(z))
-    if order == 1:
-        return 2.0 * (y - z)
-    if order == 2:
-        return np.full(shape, -2.0)
-    return np.zeros(shape)
 
 
 # --------------------------------------------------------------------- #
@@ -214,40 +220,30 @@ def _index_derivative_unchecked(family: Family, y, z, order: int):
 # --------------------------------------------------------------------- #
 
 
-def response_mean(family: Family, z):
-    """E[y | index = z]: the CDF for binary families, the index itself otherwise."""
-    z = np.asarray(z, dtype=float)
+def _response_ladder(family: Family, z):
     if family is Family.LOGIT:
-        return special.expit(z)
-    if family is Family.PROBIT:
-        return special.ndtr(z)
-    return z
-
-
-def response_mean_deriv(family: Family, z, order: int):
-    """d^order/dz^order of the response curve, order in 1..3.
-
-    For the binary families this is g, g', g''; for poisson and gaussian
-    the curve is linear so the first derivative is 1 and higher ones are 0.
-    """
-    if order not in (1, 2, 3):
-        raise InvalidInputError(f"response derivative order must be in 1..3, got {order}")
-    z = np.asarray(z, dtype=float)
-    if family is Family.LOGIT:
-        G = special.expit(z)
-        g = G * (1.0 - G)
-        if order == 1:
-            return g
-        if order == 2:
-            return g * (1.0 - 2.0 * G)
-        return g * (1.0 - 2.0 * G) ** 2 - 2.0 * g * g
-    if family is Family.PROBIT:
+        yield from _logistic_curve(z)
+    elif family is Family.PROBIT:
+        yield special.ndtr(z)
         phi = np.exp(_norm_logpdf(z))
-        if order == 1:
-            return phi
-        if order == 2:
-            return -z * phi
-        return (z * z - 1.0) * phi
-    if order == 1:
-        return np.ones_like(z)
-    return np.zeros_like(z)
+        yield phi
+        yield -z * phi
+        yield (z * z - 1.0) * phi
+    else:
+        yield z
+        yield np.ones_like(z)
+        yield np.zeros_like(z)
+        yield np.zeros_like(z)
+
+
+def response_curve(family: Family, z, order: int) -> tuple:
+    """E[y | index = z] and its derivatives in z up to ``order`` (0..3).
+
+    Returns (G, g, g', g'') truncated after ``order``: for the binary
+    families G is the CDF; for poisson and gaussian the curve is the
+    index itself, so g is 1 and higher derivatives are 0.
+    """
+    if order not in (0, 1, 2, 3):
+        raise InvalidInputError(f"response derivative order must be in 0..3, got {order}")
+    z = np.asarray(z, dtype=float)
+    return tuple(itertools.islice(_response_ladder(family, z), order + 1))

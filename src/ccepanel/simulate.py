@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ape import PolicyPair
+from .ape import PolicyPair, partial_effect
 from .bias import compute_beta_bias, correct_beta
 from .estimation import FitOptions, fit_cce
 from .exceptions import InvalidInputError, NumericalError
 from .factors import estimate_factors
 from .inference import beta_covariance
 from .jackknife import spj
-from .likelihood import Family, response_mean
+from .likelihood import Family
 from .panel import Panel
 
 TRUE_BETA = np.ones(4)
@@ -114,11 +114,7 @@ def generate(config: DgpConfig, policy: PolicyPair | None = None) -> DgpDraw:
 
     true_ape = None
     if policy is not None:
-        z0 = TRUE_BETA @ policy.x0 + c0
-        z1 = TRUE_BETA @ policy.x1 + c0
-        true_ape = float(
-            np.mean(response_mean(Family.LOGIT, z1) - response_mean(Family.LOGIT, z0))
-        )
+        true_ape = float(np.mean(partial_effect(Family.LOGIT, TRUE_BETA, c0, policy)))
     return DgpDraw(
         panel=Panel(y, x), true_beta=TRUE_BETA.copy(), true_index=c0, true_ape=true_ape
     )

@@ -50,6 +50,21 @@ def derivs(family: str, y, z, order: int):
     raise ValueError(family)
 
 
+def probit_derivs_mp(y, z, order: int):
+    """Probit log-density derivatives at 50 digits (mpmath differentiation
+    of log Phi(+-z)); unlike ``derivs`` accurate at every order and in the
+    far tails."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(50):
+        for yi, zi in zip(np.ravel(y), np.ravel(z)):
+            sign = 1 if yi == 1 else -1
+            fn = lambda s: mpmath.log(mpmath.ncdf(sign * s))  # noqa: E731
+            out.append(float(mpmath.diff(fn, mpmath.mpf(float(zi)), order)))
+    return np.reshape(out, np.shape(z))
+
+
 def log_density(family: str, y, z):
     if family == "logit":
         p = special.expit(z)

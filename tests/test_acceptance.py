@@ -13,6 +13,7 @@ Everything uses the pre-registered base seed 20260811.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -154,8 +155,7 @@ def test_criterion_5_oracle_equivalence_suite():
 
         diffs = [abs(cp.objective(panel, fe, family, beta, lam) - orc.objective(fam_name, y, x, f, beta, lam))]
         gb, gl = orc.score_blocks(fam_name, y, x, f, beta, lam)
-        from ccepanel.likelihood import _index_derivative_unchecked
-        l1 = _index_derivative_unchecked(family, y, fit.index, 1)
+        l1 = cp.index_derivative(family, y, fit.index, 1)
         diffs.append(np.abs(np.einsum("nt,ntk->k", l1, x) / (n * t) - gb).max())
         diffs.append(np.abs(l1 @ f / t - gl).max())
 
@@ -195,7 +195,7 @@ def test_criterion_6_derivative_suite():
     worst = 0.0
     h = 6e-6
     for family in Family:
-        rng = np.random.default_rng(BASE_SEED + hash(family.value) % 1000)
+        rng = np.random.default_rng(BASE_SEED + zlib.crc32(family.value.encode()) % 1000)
         if family is Family.POISSON:
             z = rng.uniform(0.3, 5.0, 1000)
             y = rng.integers(0, 10, 1000).astype(float)

@@ -181,3 +181,12 @@ def test_ape_rotation_invariance(rng):
     a = cp.ape_estimate(fit, fe, Family.LOGIT, pol).value
     b = cp.ape_estimate(fit_rot, fe_rot, Family.LOGIT, pol).value
     assert_allclose(a, b, atol=1e-12)
+
+
+def test_ape_non_positive_poisson_index_names_the_cell():
+    # c = lambda_i f_t is -1 at unit 2, period 3, so beta'x0 + c = -0.5 there
+    fe = make_factor_estimate(np.array([[1.0], [1.0], [1.0], [-1.0]]))
+    fit = make_fit(np.array([1.0]), np.array([[0.2], [0.2], [1.0]]), fe)
+    pol = PolicyPair(np.array([0.5]), np.array([1.0]))
+    with pytest.raises(InvalidInputError, match="positive.*unit 2, period 3"):
+        cp.ape_estimate(fit, fe, Family.POISSON, pol)

@@ -94,10 +94,9 @@ def test_estimate_spj_report_carries_identity(sim_csv, tmp_path):
     assert_allclose(np.array(report["beta"]["corrected"]), np.array(spj["corrected"]))
 
 
-def test_estimate_spj_fits_every_subsample_once_with_the_loading_bound(
-    sim_csv, tmp_path, monkeypatch
-):
-    # the full fit and the four half-panel fits, each under --loading-bound
+def _record_fits(monkeypatch) -> list:
+    """Wrap fit_cce in every ccepanel module that binds it; returns the
+    list that receives each call's FitOptions."""
     opts_seen = []
     modules = [m for name, m in sorted(sys.modules.items())
                if name.split(".")[0] == "ccepanel" and callable(vars(m).get("fit_cce"))]
@@ -107,6 +106,14 @@ def test_estimate_spj_fits_every_subsample_once_with_the_loading_bound(
             return _fit(panel, factors, family, opts)
 
         monkeypatch.setattr(module, "fit_cce", recording)
+    return opts_seen
+
+
+def test_estimate_spj_fits_every_subsample_once_with_the_loading_bound(
+    sim_csv, tmp_path, monkeypatch
+):
+    # the full fit and the four half-panel fits, each under --loading-bound
+    opts_seen = _record_fits(monkeypatch)
     code = main([
         "estimate", "--input", sim_csv, "--family", "logit", "--correction", "spj",
         "--loading-bound", "30", "--policy-x0", "0,0,0,0", "--policy-x1", "1,0,0,0",
@@ -146,11 +153,20 @@ def test_simulate_command(tmp_path, capsys):
     assert table_csv.exists()
 
 
-def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys):
+def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys, monkeypatch):
+    # both are rejected before the panel is read, so no fit runs
+    fits = _record_fits(monkeypatch)
     code = main(["estimate", "--input", sim_csv, "--family", "logit", "--bandwidth", "-1"])
     assert code == 2
     err = capsys.readouterr().err
     assert "bandwidth" in err and "separation" not in err
+    code = main([
+        "estimate", "--input", sim_csv, "--family", "logit", "--correction", "spj",
+        "--level", "1.5",
+    ])
+    assert code == 2
+    assert "level" in capsys.readouterr().err
+    assert fits == []
 
 
 def test_simulate_negative_bandwidth_is_input_error(capsys):

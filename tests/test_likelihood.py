@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import mpmath
@@ -9,10 +10,13 @@ from numpy.testing import assert_allclose
 from ccepanel import InvalidInputError, index_derivative, log_density
 from ccepanel.likelihood import (
     Family,
-    response_mean,
-    response_mean_deriv,
+    _index_derivatives,
+    _log_density_unchecked,
+    response_curve,
     validate_outcomes,
 )
+
+import oracles as orc
 
 FAMILIES = list(Family)
 
@@ -83,6 +87,27 @@ def test_poisson_domain():
         log_density(Family.POISSON, -1, 1.0)
 
 
+def test_poisson_density_is_minus_inf_outside_domain():
+    # line searches reject trial points through this value, so it must be
+    # -inf (not nan) and must not warn
+    z = np.array([0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (0.0, 3.0):
+            vals = _log_density_unchecked(Family.POISSON, np.full(2, y), z)
+            assert np.all(vals == -np.inf)
+
+
+def test_index_domain_error_names_the_cell():
+    z = np.ones((3, 4))
+    z[2, 1] = 0.0
+    with pytest.raises(InvalidInputError, match="unit 2, period 1"):
+        log_density(Family.POISSON, np.ones((3, 4)), z)
+    z[1, 3] = np.nan
+    with pytest.raises(InvalidInputError, match="finite.*unit 1, period 3"):
+        index_derivative(Family.LOGIT, np.ones((3, 4)), z, 1)
+
+
 def test_unsupported_order():
     with pytest.raises(InvalidInputError, match="order"):
         index_derivative(Family.LOGIT, 1, 0.0, 5)
@@ -120,16 +145,40 @@ def test_response_mean_derivs_match_finite_differences(family):
     rng = np.random.default_rng(3)
     z = rng.uniform(-6, 6, 500)
     h = 6e-6
+    lower, upper = response_curve(family, z - h, 2), response_curve(family, z + h, 2)
+    analytic = response_curve(family, z, 3)
     for order in (1, 2, 3):
-        base = response_mean(family, z) if order == 1 else response_mean_deriv(family, z, order - 1)
-        fd = (
-            (response_mean(family, z + h) if order == 1 else response_mean_deriv(family, z + h, order - 1))
-            - (response_mean(family, z - h) if order == 1 else response_mean_deriv(family, z - h, order - 1))
-        ) / (2 * h)
-        analytic = response_mean_deriv(family, z, order)
-        err = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
+        fd = (upper[order - 1] - lower[order - 1]) / (2 * h)
+        err = np.abs(analytic[order] - fd) / (1.0 + np.abs(analytic[order]))
         assert err.max() < 1e-6
-        del base
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_ladders_match_oracle_derivatives(family):
+    rng = np.random.default_rng(zlib.crc32(b"ladder-" + family.value.encode()))
+    y, z = _draw_points(family, rng, 60)
+    if family is Family.PROBIT:
+        tails = np.array([-40.0, -20.0, -12.0, -8.0, 8.0, 12.0, 20.0, 40.0])
+        y = np.concatenate([y, np.zeros(tails.size), np.ones(tails.size)])
+        z = np.concatenate([z, tails, tails])
+    # the probit hazard recursion cancels in the far tail: at |z| = 40 its
+    # fourth order is 2.3e-7 off; the other families are closed forms
+    bound = 1e-6 if family is Family.PROBIT else 1e-12
+    ladder = _index_derivatives(family, y, z, 4)
+    assert len(ladder) == 4
+    for order, got in enumerate(ladder, start=1):
+        if family is Family.PROBIT:
+            want = orc.probit_derivs_mp(y, z, order)
+        else:
+            want = orc.derivs(family.value, y, z, order)
+        err = np.abs(got - want) / (1.0 + np.abs(want))
+        assert err.max() < bound, f"{family.value} order {order}: {err.max():.2e}"
+    curve = response_curve(family, z, 3)
+    assert len(curve) == 4
+    for order, got in enumerate(curve):
+        want = orc.response_curve(family.value, z, order)
+        err = np.abs(got - want) / (1.0 + np.abs(want))
+        assert err.max() < 1e-12, f"{family.value} response order {order}: {err.max():.2e}"
 
 
 # --------------------------------------------------------------------- #
@@ -138,10 +187,8 @@ def test_response_mean_derivs_match_finite_differences(family):
 
 
 def _draw_outcomes(family, rng, z, size):
-    if family is Family.LOGIT:
-        return (rng.uniform(size=size) < response_mean(family, z)).astype(float)
-    if family is Family.PROBIT:
-        return (rng.uniform(size=size) < response_mean(family, z)).astype(float)
+    if family.is_binary:
+        return (rng.uniform(size=size) < response_curve(family, z, 0)[0]).astype(float)
     if family is Family.POISSON:
         return rng.poisson(z, size).astype(float)
     # the gaussian objective -(y-z)^2 is the log density of N(z, 1/2)
