@@ -34,14 +34,11 @@ from .simulate import run_grid
 SCHEMA_VERSION = 1
 
 
-def _parse_vector(text: str, k: int, name: str) -> np.ndarray:
+def _parse_vector(text: str, name: str) -> np.ndarray:
     try:
-        vals = np.array([float(v) for v in text.split(",")], dtype=float)
+        return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise InvalidInputError(f"{name} must be a comma-separated numeric list") from None
-    if vals.shape != (k,):
-        raise InvalidInputError(f"{name} must have {k} entries, got {vals.shape[0]}")
-    return vals
 
 
 def _rank_rules(panel: Panel, threshold: float | None) -> dict:
@@ -67,14 +64,22 @@ def run_estimate(args) -> dict:
         raise InvalidInputError(f"bandwidth must be non-negative, got {args.bandwidth}")
     if not 0.0 < args.level < 1.0:
         raise InvalidInputError(f"confidence level must be in (0, 1), got {args.level}")
+    if (args.policy_x0 is None) != (args.policy_x1 is None):
+        raise InvalidInputError("--policy-x0 and --policy-x1 must be given together")
+    flags = {"--policy-x0": args.policy_x0, "--policy-x1": args.policy_x1}
+    policy_vectors = {name: _parse_vector(text, name) for name, text in flags.items()
+                      if text is not None}
     panel = read_panel_csv(args.input)
+    k = panel.n_covariates
+    for name, vals in policy_vectors.items():
+        if vals.shape != (k,):
+            raise InvalidInputError(f"{name} must have {k} entries, got {vals.shape[0]}")
+    policy = PolicyPair(*policy_vectors.values()) if policy_vectors else None
     family = Family.from_string(args.family)
     rank_info = _choose_rank(panel, args)
     r = rank_info["used"]
-    if not 1 <= r <= panel.n_covariates:
-        raise InvalidInputError(
-            f"rank {r} outside 1..k={panel.n_covariates}"
-        )
+    if not 1 <= r <= k:
+        raise InvalidInputError(f"rank {r} outside 1..k={k}")
     opts = FitOptions(loading_bound=args.loading_bound)
     fe = estimate_factors(panel, r)
     fit = fit_cce(panel, fe, family, opts)
@@ -86,15 +91,6 @@ def run_estimate(args) -> dict:
         )
 
     n, t = panel.n_units, panel.n_periods
-    policy = None
-    if args.policy_x0 is not None or args.policy_x1 is not None:
-        if args.policy_x0 is None or args.policy_x1 is None:
-            raise InvalidInputError("--policy-x0 and --policy-x1 must be given together")
-        policy = PolicyPair(
-            _parse_vector(args.policy_x0, panel.n_covariates, "--policy-x0"),
-            _parse_vector(args.policy_x1, panel.n_covariates, "--policy-x1"),
-        )
-
     try:
         bias = compute_beta_bias(panel, fit, fe, family, bandwidth=args.bandwidth)
     except NumericalError as exc:

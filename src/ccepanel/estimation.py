@@ -12,10 +12,10 @@ concave given the factors and the stationary point is the global maximum.
 
 Loadings live in the box |lambda_ij| <= loading_bound.  Binary units whose
 outcomes the index can perfectly separate push their loadings outward;
-steps are capped per iteration, coordinates pinned at
-the bound are frozen out of the Newton systems, and such units are
-counted in ``bound_hits``.  The convergence test uses the bound-projected
-score, so a fit with separated units can still converge in the KKT sense.
+steps are capped per iteration.  A coordinate at the bound whose score
+points outward is pinned: it leaves the Newton systems and the convergence
+test, so a fit with separated units can still converge in the KKT sense.
+Units with a loading at the bound are counted in ``bound_hits``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _STEP_CAP = 16.0  # max loading move per inner iteration, per coordinate
 # final Newton polish sit below the floating resolution of those sums, so the
 # tests allow rounding-level slack instead of rejecting the step.
 _EPS_SLACK = 64.0 * np.finfo(float).eps
+_HALVING_MAX = 50  # step halvings per line search
 
 
 @dataclass
@@ -50,17 +51,15 @@ class FitOptions:
     grad_tolerance: float = 1e-8
     max_iterations: int = 200
     loading_bound: float = 1e3
-    step_halving_max: int = 50
 
     def __post_init__(self):
-        for name in ("grad_tolerance", "max_iterations", "loading_bound", "step_halving_max"):
+        for name in ("grad_tolerance", "max_iterations", "loading_bound"):
             if not getattr(self, name) > 0:  # NaN fails this too
                 raise InvalidInputError(f"FitOptions.{name} must be positive")
         if not np.isfinite(self.grad_tolerance):
             raise InvalidInputError("FitOptions.grad_tolerance must be finite")
-        for name in ("max_iterations", "step_halving_max"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidInputError(f"FitOptions.{name} must be an integer")
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise InvalidInputError("FitOptions.max_iterations must be an integer")
 
 
 @dataclass
@@ -126,24 +125,25 @@ def _solve_neg_definite(h, rhs):
     return out
 
 
-def _frozen(lam, g, bound):
-    """Loading coordinates pinned at the box bound with an outward score."""
-    return ((lam >= bound) & (g > 0)) | ((lam <= -bound) & (g < 0))
+def _loading_score(l1, f, lam, bound):
+    """Per-unit loading score, zeroed at pinned coordinates, and the pinned mask.
+
+    A coordinate is pinned when it sits at the box bound with an outward score.
+    """
+    g = l1 @ f
+    pinned = (lam >= bound) & (g > 0) | (lam <= -bound) & (g < 0)
+    return np.where(pinned, 0.0, g), pinned
 
 
-def _freeze_system(h, g, frozen):
-    """Remove frozen coordinates from the per-unit Newton systems in place."""
-    if not frozen.any():
-        return h, g
-    g = np.where(frozen, 0.0, g)
-    h = h.copy()
-    mask_row = frozen[:, :, None] | frozen[:, None, :]
-    h[mask_row] = 0.0
-    r = h.shape[-1]
-    idx = np.arange(r)
-    diag = h[:, idx, idx]
-    h[:, idx, idx] = np.where(frozen, -1.0, diag)
-    return h, g
+def _loading_hessian(l2, f, pinned):
+    """Per-unit curvature sum_t l2 f_t f_t'; pinned rows and columns are zero
+    with -1 on the diagonal, so Newton solves leave those coordinates put."""
+    h = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
+    if pinned.any():
+        h[pinned[:, :, None] | pinned[:, None, :]] = 0.0
+        unit, coord = np.nonzero(pinned)
+        h[unit, coord, coord] = -1.0
+    return h
 
 
 def _line_search(trial, obj, g, step, scale, halving_max):
@@ -175,7 +175,7 @@ def _line_search(trial, obj, g, step, scale, halving_max):
     return step, alpha, obj, (slope > 0) & ~pending
 
 
-def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_max):
+def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
     """Batched per-unit Newton for the loading subproblems at fixed beta.
 
     ``z_base`` is the covariate part of the index.  Units whose projected
@@ -195,39 +195,30 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
         if act.size == 0:
             break
         rounds += 1
-        ya = y[act]
-        za = z[act]
-        l1, l2 = _index_derivatives(family, ya, za, 2)
-        g = l1 @ f
-        lama = lam[act]
-        frozen = _frozen(lama, g, bound)
-        g_proj = np.where(frozen, 0.0, g)
-        live = np.abs(g_proj).max(axis=1) / t > tol
-        if not live.all():
-            act = act[live]
-            if act.size == 0:
-                break
-            ya, za, lama = ya[live], za[live], lama[live]
-            g, frozen, g_proj, l2 = g[live], frozen[live], g_proj[live], l2[live]
-        h = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
-        h, gf = _freeze_system(h, g, frozen)
+        l1, l2 = _index_derivatives(family, y[act], z[act], 2)
+        g, pinned = _loading_score(l1, f, lam[act], bound)
+        live = np.abs(g).max(axis=1) / t > tol
+        act, g, pinned, l2 = act[live], g[live], pinned[live], l2[live]
+        if act.size == 0:
+            break
+        ya, lama = y[act], lam[act]
         try:
-            step = -_solve_neg_definite(h, gf[:, :, None])[:, :, 0]
+            step = -_solve_neg_definite(_loading_hessian(l2, f, pinned), g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = g_proj / t
+            step = g / t
         big = np.abs(step).max(axis=1)
         over = big > _STEP_CAP
         if over.any():
             step[over] *= (_STEP_CAP / big[over])[:, None]
 
-        lam_c, z_c = np.empty_like(lama), np.empty_like(za)
+        lam_c, z_c = np.empty_like(lama), np.empty((act.size, t))
 
         def trial(rows, step, alpha):
             lam_c[rows] = np.clip(lama[rows] + alpha[:, None] * step, -bound, bound)
             z_c[rows] = z_base[act[rows]] + lam_c[rows] @ f.T
             return _log_density_unchecked(family, ya[rows], z_c[rows]).sum(axis=1)
 
-        _, _, obj[act], ok = _line_search(trial, obj[act], g_proj, step, t, halving_max)
+        _, _, obj[act], ok = _line_search(trial, obj[act], g, step, t, _HALVING_MAX)
         lam[act[ok]] = lam_c[ok]
         z[act[ok]] = z_c[ok]
         n_stalled += int((~ok).sum())
@@ -236,13 +227,7 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, halving_ma
     return lam, z, obj, n_stalled, rounds
 
 
-def _loading_grad_norm(l1, f, lam, bound, t):
-    g = l1 @ f
-    g = np.where(_frozen(lam, g, bound), 0.0, g)
-    return float(np.abs(g).max()) / t if g.size else 0.0
-
-
-def _pooled_beta(family: Family, y, x, opts: FitOptions) -> np.ndarray:
+def _pooled_beta(family: Family, y, x) -> np.ndarray:
     """Coefficients from a no-loading pooled fit (deterministic warm start)."""
     n, t, k = x.shape
     if family is Family.GAUSSIAN:
@@ -265,7 +250,7 @@ def _pooled_beta(family: Family, y, x, opts: FitOptions) -> np.ndarray:
             return _log_density_unchecked(family, y, x @ (beta + alpha * step[0])).sum()[None]
 
         step, alpha, obj_c, ok = _line_search(
-            trial, np.array([obj]), g[None], step[None], n * t, opts.step_halving_max
+            trial, np.array([obj]), g[None], step[None], n * t, _HALVING_MAX
         )
         if not ok[0]:
             break
@@ -342,7 +327,7 @@ def fit_cce(
         margin = 1e-2 * (1.0 + float(y.mean()))
         lam = np.clip(_poisson_feasible_loadings(y, f, margin), -bound, bound)
     else:
-        beta = _pooled_beta(family, y, x, opts)
+        beta = _pooled_beta(family, y, x)
         lam = np.zeros((n, r))
 
     z_base = x @ beta
@@ -355,31 +340,25 @@ def fit_cce(
 
     for _ in range(opts.max_iterations):
         lam, z, obj_units, _, _ = _solve_loadings(
-            family, y, z_base, f, lam, bound, tol,
-            inner_max=50, halving_max=opts.step_halving_max,
+            family, y, z_base, f, lam, bound, tol, inner_max=50
         )
         obj = float(obj_units.sum())
         path.append(obj / (n * t))
 
         l1, l2 = _index_derivatives(family, y, z, 2)
         gb = np.einsum("nt,ntk->k", l1, x)
-        grad_norm = max(
-            float(np.abs(gb).max()) / (n * t),
-            _loading_grad_norm(l1, f, lam, bound, t),
-        )
+        gl, pinned = _loading_score(l1, f, lam, bound)
+        grad_norm = max(float(np.abs(gb).max()) / (n * t), float(np.abs(gl).max()) / t)
         if grad_norm <= tol:
             converged = True
             break
 
-        # profile Newton step for the coefficients
+        # profile Newton step for the coefficients, pinned loadings held fixed
         hb = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
         hbl = np.einsum("nt,ntk,tr->nkr", l2, x, f, optimize=True)
-        hll = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
-        gl = l1 @ f
-        frozen = _frozen(lam, gl, bound)
-        if frozen.any():
-            hbl = np.where(frozen[:, None, :], 0.0, hbl)
-        hll, gl = _freeze_system(hll, gl, frozen)
+        if pinned.any():
+            hbl = np.where(pinned[:, None, :], 0.0, hbl)
+        hll = _loading_hessian(l2, f, pinned)
         try:
             t1 = _solve_neg_definite(hll, hbl.transpose(0, 2, 1))  # Hll^-1 Hlb
             t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
@@ -394,7 +373,7 @@ def fit_cce(
             return np.array([_log_density_unchecked(family, y, z_c).sum()])
 
         db, alpha, obj_c, ok = _line_search(
-            trial, np.array([obj]), gb[None], db[None], n * t, opts.step_halving_max
+            trial, np.array([obj]), gb[None], db[None], n * t, _HALVING_MAX
         )
         if not ok[0]:
             break

@@ -32,7 +32,6 @@ class InferenceResult:
     ci_upper: np.ndarray
     bandwidth: int
     level: float
-    ape_variance: float | None = None
 
 
 def influence_scores(bias: BetaBiasComponents) -> np.ndarray:

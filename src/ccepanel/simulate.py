@@ -27,7 +27,7 @@ from .factors import estimate_factors
 from .inference import beta_covariance
 from .jackknife import spj
 from .likelihood import Family
-from .panel import Panel
+from .panel import Panel, write_panel_csv
 
 TRUE_BETA = np.ones(4)
 TRUE_RANK = 2
@@ -196,23 +196,19 @@ class McTable:
 
 
 def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir=None):
-    """One full replication; returns per-(bandwidth, estimator) records."""
+    """One full replication: {bandwidth: {estimator: (error, covered)}},
+    empty when the full-panel fit does not converge."""
     seed = replication_seed(base_seed, n, t, serial, rep)
     draw = generate(DgpConfig(n_units=n, n_periods=t, serial=serial, seed=seed))
     panel = draw.panel
     if emit_dir is not None:
-        from .panel import write_panel_csv
+        write_panel_csv(panel, os.path.join(emit_dir, f"panel_n{n}_t{t}_rep{rep:04d}.csv"))
 
-        path = os.path.join(emit_dir, f"panel_n{n}_t{t}_rep{rep:04d}.csv")
-        write_panel_csv(panel, path)
-
-    out = {"rep": rep, "fit_ok": False, "spj_ok": False, "records": {}}
     family = Family.LOGIT
     fe = estimate_factors(panel, TRUE_RANK)
     fit = fit_cce(panel, fe, family, _FIT_OPTIONS)
     if not fit.converged:
-        return out
-    out["fit_ok"] = True
+        return {}
     err_raw = float(fit.beta[0] - TRUE_BETA[0])
 
     spj_value = None
@@ -220,27 +216,26 @@ def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir
         spj_beta = spj(panel, family, TRUE_RANK, _FIT_OPTIONS, full=(fe, fit))[0]
         if spj_beta.converged:
             spj_value = spj_beta.corrected[0]
-            out["spj_ok"] = True
 
+    records = {}
     for bw in l_values:
         try:
             bias = compute_beta_bias(panel, fit, fe, family, bandwidth=bw)
             inf = beta_covariance(panel, fit, fe, family, bias, bandwidth=bw)
         except NumericalError:
             continue  # conditioning failure: rep counts as failed for this bandwidth
-        se = float(inf.std_errors[0])
-        half_width = 1.959963984540054 * se
+        half_width = 1.959963984540054 * float(inf.std_errors[0])
         rec = {}
         if "raw" in estimators:
-            rec["raw"] = (err_raw, se, abs(err_raw) <= half_width)
+            rec["raw"] = (err_raw, abs(err_raw) <= half_width)
         if "abc" in estimators:
             err_abc = float(correct_beta(fit, bias, n, t)[0] - TRUE_BETA[0])
-            rec["abc"] = (err_abc, se, abs(err_abc) <= half_width)
+            rec["abc"] = (err_abc, abs(err_abc) <= half_width)
         if "spj" in estimators and spj_value is not None:
             err_spj = float(spj_value - TRUE_BETA[0])
-            rec["spj"] = (err_spj, se, abs(err_spj) <= half_width)
-        out["records"][bw] = rec
-    return out
+            rec["spj"] = (err_spj, abs(err_spj) <= half_width)
+        records[bw] = rec
+    return records
 
 
 def _worker(packed):
@@ -305,21 +300,14 @@ def run_grid(
                 results = list(pool.map(_worker, tasks, chunksize=max(1, n_reps // (4 * n_jobs))))
         else:
             results = [_replicate_once(*task) for task in tasks]
-        results.sort(key=lambda rec: rec["rep"])
 
         for bw in l_values:
             for est in estimators:
-                errs, covers = [], []
-                failed = 0
-                for rec in results:
-                    ok = rec["fit_ok"] and (est != "spj" or rec["spj_ok"])
-                    if not ok or est not in rec["records"].get(bw, {}):
-                        failed += 1
-                        continue
-                    err, _, cover = rec["records"][bw][est]
-                    errs.append(err)
-                    covers.append(bool(cover))
-                used = len(errs)
+                kept = [rec[bw][est] for rec in results if est in rec.get(bw, {})]
+                errs = [err for err, _ in kept]
+                covers = [cover for _, cover in kept]
+                used = len(kept)
+                failed = n_reps - used
                 table.rows.append(
                     McCell(
                         n_units=n,

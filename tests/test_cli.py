@@ -169,6 +169,22 @@ def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys, monkeypatch
     assert fits == []
 
 
+def test_estimate_policy_errors_come_before_any_fit(sim_csv, capsys, monkeypatch):
+    # pairing and parsing are checked before the panel is read, the length
+    # (sim_csv has 4 covariates) right after it, so no fit runs
+    fits = _record_fits(monkeypatch)
+    cases = [
+        (["--policy-x0", "0,0,0,0"], "must be given together"),
+        (["--policy-x0", "0,0,0,0", "--policy-x1", "1,one,0,0"], "--policy-x1 must be a"),
+        (["--policy-x0", "0,0,0", "--policy-x1", "1,0,0"], "--policy-x0 must have 4 entries"),
+    ]
+    for flags, message in cases:
+        code = main(["estimate", "--input", sim_csv, "--family", "logit", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+    assert fits == []
+
+
 def test_simulate_negative_bandwidth_is_input_error(capsys):
     code = main(["simulate", "--n", "30", "--t", "30", "--reps", "2", "--bandwidth", "-1"])
     assert code == 2

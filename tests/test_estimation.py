@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 
 import ccepanel as cp
 from ccepanel import FitOptions, InitializationError, InvalidInputError
-from ccepanel.estimation import _line_search, _solve_loadings
+from ccepanel.estimation import _line_search, _loading_hessian, _loading_score, _solve_loadings
 from ccepanel.likelihood import Family
 from conftest import logit_test_panel, make_factor_estimate
 
@@ -193,6 +193,26 @@ def test_fit_poisson_infeasible_start():
         cp.fit_cce(panel, fe, Family.POISSON)
 
 
+def test_fit_kkt_at_the_box():
+    # unit 0 is all ones under a one-signed factor, so its loading runs to
+    # the bound with an outward score; the fit is KKT-converged there, and
+    # every other score block is stationary
+    rng = np.random.default_rng(0)
+    panel = logit_test_panel(rng, n=25, t=18)
+    y = panel.outcomes.copy()
+    y[0] = 1.0
+    panel = cp.Panel(y, panel.covariates)
+    f = np.abs(rng.standard_normal((18, 1))) + 0.5
+    fit = cp.fit_cce(panel, make_factor_estimate(f, k=2), Family.LOGIT,
+                     FitOptions(loading_bound=8.0))
+    tol = FitOptions().grad_tolerance
+    assert fit.converged and fit.grad_norm <= tol
+    assert fit.bound_hits == 1 and fit.loadings[0, 0] == 8.0
+    g_beta, g_lam = orc.score_blocks("logit", y, panel.covariates, f, fit.beta, fit.loadings)
+    assert g_lam[0, 0] > 1e-4  # outward: the bound binds
+    assert np.abs(g_beta).max() <= tol and np.abs(g_lam[1:]).max() <= tol
+
+
 def test_fit_nonconvergence_is_flagged_not_raised(rng):
     panel = logit_test_panel(rng, n=15, t=12)
     fe = cp.estimate_factors(panel, 1)
@@ -208,8 +228,7 @@ def test_fit_options_validation():
         FitOptions(max_iterations=0)
 
 
-@pytest.mark.parametrize("field", ["grad_tolerance", "max_iterations", "loading_bound",
-                                   "step_halving_max"])
+@pytest.mark.parametrize("field", ["grad_tolerance", "max_iterations", "loading_bound"])
 def test_fit_options_reject_nan(field):
     with pytest.raises(InvalidInputError, match=field):
         FitOptions(**{field: float("nan")})
@@ -218,10 +237,8 @@ def test_fit_options_reject_nan(field):
 @pytest.mark.parametrize("kwargs", [
     {"grad_tolerance": float("inf")},
     {"max_iterations": 2.5},
-    {"step_halving_max": 2.5},
     {"max_iterations": float("inf")},
-], ids=["grad_tolerance=inf", "max_iterations=2.5", "step_halving_max=2.5",
-        "max_iterations=inf"])
+], ids=["grad_tolerance=inf", "max_iterations=2.5", "max_iterations=inf"])
 def test_fit_options_reject_non_finite_and_non_integral(kwargs):
     with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
         FitOptions(**kwargs)
@@ -261,6 +278,32 @@ def test_line_search_fallback_rejection_and_zero_slope():
 # per-unit loading updates
 # --------------------------------------------------------------------- #
 
+
+def test_loading_score_pins_only_outward_coordinates_at_the_bound(rng):
+    # rows are units; at bound 2 the coordinates are: +bound with an outward
+    # (positive) score, +bound with an inward score, -bound with an outward
+    # (negative) score, and interior points with either sign
+    t, bound = 5, 2.0
+    f = rng.standard_normal((t, 3))
+    lam = np.array([[2.0, 2.0, -2.0], [0.0, 1.5, -1.9], [-2.0, 2.0, 0.3]])
+    raw = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+    l1 = np.linalg.lstsq(f.T, raw.T, rcond=None)[0].T  # so that l1 @ f == raw
+    g, pinned = _loading_score(l1, f, lam, bound)
+    want = np.array([[True, False, True], [False, False, False], [False, True, False]])
+    assert pinned.tolist() == want.tolist()
+    assert np.all(g[pinned] == 0.0)
+    assert_allclose(g[~pinned], raw[~pinned], atol=1e-12)
+
+    l2 = -rng.uniform(0.5, 1.5, size=(3, t))
+    h = _loading_hessian(l2, f, pinned)
+    plain = np.einsum("nt,tr,ts->nrs", l2, f, f)
+    for i in range(3):
+        free = ~pinned[i]
+        assert_allclose(h[i][np.ix_(free, free)], plain[i][np.ix_(free, free)], rtol=1e-12)
+        pin = np.flatnonzero(pinned[i])
+        assert np.all(h[i][pin, :][:, free] == 0.0) and np.all(h[i][free, :][:, pin] == 0.0)
+        assert h[i][np.ix_(pin, pin)].tolist() == (-np.eye(pin.size)).tolist()
+
 TOL = FitOptions().grad_tolerance
 
 
@@ -273,7 +316,7 @@ def _solve_unit_loading(family, y, x, f, beta, bound=1e3, inner_max=200):
     y = np.asarray(y, dtype=float)[None, :]
     lam, z, _, _, _ = _solve_loadings(
         family, y, (x @ beta)[None, :], f, np.zeros((1, r)), bound, TOL,
-        inner_max=inner_max, halving_max=50,
+        inner_max=inner_max,
     )
     raw_score = float(np.abs(cp.index_derivative(family, y, z, 1) @ f).max()) / t
     return lam[0], raw_score
