@@ -40,9 +40,6 @@ class PolicyPair:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "x1", x1)
 
-    def swapped(self) -> "PolicyPair":
-        return PolicyPair(self.x1, self.x0)
-
 
 @dataclass(frozen=True)
 class ApeEstimate:

@@ -2,13 +2,16 @@
 
 Everything here is a plug-in sample counterpart evaluated at the
 uncorrected fit: per-unit information blocks in the factor directions,
-the projected-out regressors, HAC-weighted score outer products, and the
-four bias pieces for each of the two estimators (two of order 1/T from
-the loading estimation error, two of order 1/N from the factor estimation
-error).  Every kernel-weighted double time sum goes through
-``lag_cross_sum``, which reorganizes it by lag so the cost is linear in
-the bandwidth instead of quadratic in T; the equivalence with the naive
-double sums is oracle-tested.
+the projected-out regressors, the influence scores of the coefficient
+estimator, and the four bias pieces for each of the two estimators (two
+of order 1/T from the loading estimation error, two of order 1/N from
+the factor estimation error).  Each plug-in is evaluated once, in
+``compute_beta_bias`` or ``compute_ape_bias``, and the records carry
+exactly what the corrections and the variance estimators read.  Every
+kernel-weighted double time sum goes through ``lag_cross_sum``, which
+reorganizes it by lag so the cost is linear in the bandwidth instead of
+quadratic in T; the equivalence with the naive double sums is
+oracle-tested.
 
 Per-unit information matrices must be well conditioned: a pseudo-inverse
 fallback would silently distort the corrections, so conditioning failures
@@ -35,37 +38,29 @@ _COND_LIMIT = 1e10
 class BetaBiasComponents:
     """Sample counterparts used by the coefficient bias correction.
 
-    Shapes: ``A_i`` (N,r,r), ``B_i`` (N,k,r), ``xdot`` (N,T,k), ``Delta``
-    (k,k), ``Q_i`` (N,r,r), ``Gamma_i`` (N,k,r), ``e_hat`` (N,T,k),
-    ``Upsilon`` (r,k), ``C_t`` (T,k,r), ``D_tj`` (T,k,r,r), ``G_tj``
-    (T,k,r,r), bias pieces ``b1``, ``b2``, ``d1``, ``d2`` all (k,).
+    ``xdot`` (N,T,k) is the projected-out regressor, ``Delta`` (k,k) the
+    curvature of the concentrated objective, ``b1``, ``b2``, ``d1``,
+    ``d2`` (k,) the bias pieces and ``influence`` (N,T,k) the cellwise
+    influence scores of the coefficient estimator.
     """
 
-    A_i: np.ndarray
-    B_i: np.ndarray
     xdot: np.ndarray
     Delta: np.ndarray
-    Q_i: np.ndarray
-    Gamma_i: np.ndarray
-    e_hat: np.ndarray
-    Upsilon: np.ndarray
-    C_t: np.ndarray
-    D_tj: np.ndarray
-    G_tj: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    bandwidth: int
+    influence: np.ndarray
     # working arrays reused by the APE bias and the variance estimators
-    l1: np.ndarray = field(repr=False, default=None)
-    l2: np.ndarray = field(repr=False, default=None)
-    l3: np.ndarray = field(repr=False, default=None)
-    A_inv: np.ndarray = field(repr=False, default=None)
-    BA_inv: np.ndarray = field(repr=False, default=None)
-    e_rot: np.ndarray = field(repr=False, default=None)  # Upsilon @ e_hat, (N,T,r)
-    e_load: np.ndarray = field(repr=False, default=None)  # e_hat' Upsilon' lambda, (N,T)
-    quad_AQA: np.ndarray = field(repr=False, default=None)  # f' A^-1 Q A^-1 f, (N,T)
+    l1: np.ndarray = field(repr=False)
+    l2: np.ndarray = field(repr=False)
+    l3: np.ndarray = field(repr=False)
+    A_inv: np.ndarray = field(repr=False)
+    BA_inv: np.ndarray = field(repr=False)
+    e_rot: np.ndarray = field(repr=False)  # Upsilon @ e_hat, (N,T,r)
+    e_load: np.ndarray = field(repr=False)  # e_hat' Upsilon' lambda, (N,T)
+    quad_AQA: np.ndarray = field(repr=False)  # f' A^-1 (-A) A^-1 f, (N,T)
+    P_t: np.ndarray = field(repr=False)  # sum_i e_rot e_rot', (T,r,r)
 
     @property
     def b(self) -> np.ndarray:
@@ -80,24 +75,19 @@ class BetaBiasComponents:
 class ApeBiasComponents:
     """Sample counterparts for the APE bias correction.
 
-    ``gamma`` (k,), ``gamma_i`` (N,r), ``gamma_t`` (T,r), ``R_t`` and
-    ``W_t`` (T,r,r), scalar pieces ``b3``, ``b4``, ``d3``, ``d4``; the
-    cellwise policy derivatives are kept for the variance estimator.
+    ``gamma`` (k,), ``gamma_t`` (T,r), ``R_t`` (T,r,r) and ``proj_if``
+    (N,T) also enter the APE variance; scalar pieces ``b3``, ``b4``,
+    ``d3``, ``d4``.
     """
 
     gamma: np.ndarray
-    gamma_i: np.ndarray
     gamma_t: np.ndarray
     R_t: np.ndarray
-    W_t: np.ndarray
     b3: float
     b4: float
     d3: float
     d4: float
-    d_c: np.ndarray
-    d_cc: np.ndarray
-    d_beta: np.ndarray
-    proj_if: np.ndarray = field(repr=False, default=None)  # gamma_i' A^-1 f_t, (N,T)
+    proj_if: np.ndarray = field(repr=False)  # gamma_i' A^-1 f_t, (N,T)
 
 
 def bartlett_weight(lag: int, bandwidth: int) -> float:
@@ -158,29 +148,21 @@ def compute_beta_bias(
     factors: FactorEstimate,
     family: Family,
     bandwidth: int = 1,
-    score_outer_product: str = "information",
 ) -> BetaBiasComponents:
     """Evaluate every sample quantity entering the coefficient bias.
 
     ``bandwidth`` is the HAC truncation parameter shared by all kernel
     sums; 0 keeps only contemporaneous products.
 
-    ``score_outer_product`` selects the per-unit score outer product used
-    inside the quadratic forms of the first bias piece.  For likelihood
-    families the information equality makes the kernel-weighted sample
-    version and the negative curvature blocks asymptotically identical;
-    at fitted parameters the sample version is deflated by the per-unit
-    first-order conditions, so the curvature form ("information", the
-    default) is steadier and is what the correction uses.  "hac" evaluates
-    the kernel-weighted sample version instead.  The ``Q_i`` field always
-    carries the kernel-weighted sample matrices.
+    The quadratic forms of the first bias piece take the per-unit score
+    outer product in its information form, the negative curvature block
+    -A_i.  For likelihood families the kernel-weighted sample outer
+    product estimates the same matrix, but at fitted parameters it is
+    deflated by the per-unit first-order conditions, so the curvature form
+    is the steadier plug-in.
     """
     if bandwidth < 0:
         raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
-    if score_outer_product not in ("information", "hac"):
-        raise InvalidInputError(
-            f"score_outer_product must be 'information' or 'hac', got {score_outer_product!r}"
-        )
     x = panel.covariates
     y = panel.outcomes
     f = factors.factors
@@ -207,25 +189,19 @@ def compute_beta_bias(
         gi_t = np.linalg.solve(ftf, np.einsum("tr,ntk->nrk", f, x))  # (N,r,k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"factor gram matrix is singular: {exc}") from exc
-    gamma_mat = gi_t.transpose(0, 2, 1)  # (N,k,r)
-    e_hat = x - np.einsum("nkr,tr->ntk", gamma_mat, f)
-
-    # HAC score outer product per unit in the factor directions
-    l1f = l1[..., None] * f
-    q_i = lag_cross_sum(l1f, l1f, bandwidth) / t
+    e_hat = x - np.einsum("nkr,tr->ntk", gi_t.transpose(0, 2, 1), f)
 
     c_t = np.einsum("nt,ntk,nr->tkr", l2, xdot, lam, optimize=True) / n
     d_tj = np.einsum("nt,nr,njq->tjrq", l2, lam, ba_inv, optimize=True) / n
     g_tj = np.einsum("nt,ntj,nr,nq->tjrq", l3, xdot, lam, lam, optimize=True) / n
 
-    score_outer = q_i if score_outer_product == "hac" else -a_i
-    m_i = np.einsum("nrs,nsu,nuq->nrq", a_inv, score_outer, a_inv, optimize=True)
+    m_i = np.einsum("nrs,nsu,nuq->nrq", a_inv, -a_i, a_inv, optimize=True)
     quad = np.einsum("tr,nrq,tq->nt", f, m_i, f, optimize=True)
     b1 = -0.5 * np.einsum("nt,ntk->k", l3 * quad, xdot) / (n * t)
 
     # sum over t, s of k((t-s)/L) l2_it l1_is xdot_it f_t' A_i^{-1} f_s
     l2xf = (l2[..., None, None] * xdot[..., None] * f[:, None, :]).reshape(n, t, k * r)
-    cross = lag_cross_sum(l2xf, l1f, bandwidth).reshape(n, k, r, r)
+    cross = lag_cross_sum(l2xf, l1[..., None] * f, bandwidth).reshape(n, k, r, r)
     b2 = np.einsum("nkrs,nrs->k", cross, a_inv) / (n * t)
 
     upsilon = factors.eigenvectors.T  # (r,k)
@@ -236,31 +212,14 @@ def compute_beta_bias(
     p_t = np.einsum("ntr,ntq->trq", e_rot, e_rot, optimize=True)
     d2 = np.einsum("trq,tjrq->j", p_t, d_tj - 0.5 * g_tj, optimize=True) / (n * t)
 
+    # score in the projected-out regressor directions plus the
+    # factor-estimation-error channel through the covariate idiosyncrasies
+    influence = l1[:, :, None] * xdot + np.einsum("tkr,ntr->ntk", c_t, e_rot)
+
     return BetaBiasComponents(
-        A_i=a_i,
-        B_i=b_i,
-        xdot=xdot,
-        Delta=delta,
-        Q_i=q_i,
-        Gamma_i=gamma_mat,
-        e_hat=e_hat,
-        Upsilon=upsilon,
-        C_t=c_t,
-        D_tj=d_tj,
-        G_tj=g_tj,
-        b1=b1,
-        b2=b2,
-        d1=d1,
-        d2=d2,
-        bandwidth=bandwidth,
-        l1=l1,
-        l2=l2,
-        l3=l3,
-        A_inv=a_inv,
-        BA_inv=ba_inv,
-        e_rot=e_rot,
-        e_load=e_load,
-        quad_AQA=quad,
+        xdot=xdot, Delta=delta, b1=b1, b2=b2, d1=d1, d2=d2, influence=influence,
+        l1=l1, l2=l2, l3=l3, A_inv=a_inv, BA_inv=ba_inv, e_rot=e_rot, e_load=e_load,
+        quad_AQA=quad, P_t=p_t,
     )
 
 
@@ -317,23 +276,10 @@ def compute_ape_bias(
 
     d3 = -float(np.sum(proj_if * l2 * beta_bias.e_load)) / (n * t)
 
-    p_t = np.einsum("ntr,ntq->trq", beta_bias.e_rot, beta_bias.e_rot, optimize=True)
-    d4 = float(np.einsum("trq,trq->", w_t - r_t, p_t)) / (n * t)
+    d4 = float(np.einsum("trq,trq->", w_t - r_t, beta_bias.P_t)) / (n * t)
 
     return ApeBiasComponents(
-        gamma=gamma,
-        gamma_i=gamma_i,
-        gamma_t=gamma_t,
-        R_t=r_t,
-        W_t=w_t,
-        b3=b3,
-        b4=b4,
-        d3=d3,
-        d4=d4,
-        d_c=d_c,
-        d_cc=d_cc,
-        d_beta=d_beta,
-        proj_if=proj_if,
+        gamma=gamma, gamma_t=gamma_t, R_t=r_t, b3=b3, b4=b4, d3=d3, d4=d4, proj_if=proj_if
     )
 
 

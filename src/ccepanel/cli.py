@@ -41,6 +41,11 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a comma-separated numeric list") from None
 
 
+def _check_threshold(threshold: float | None):
+    if threshold is not None and not threshold > 0:  # NaN fails this too
+        raise InvalidInputError(f"threshold must be positive, got {threshold}")
+
+
 def _rank_rules(panel: Panel, threshold: float | None) -> dict:
     """The threshold (default min(N,T)^(-1/3)) and both rank-rule estimates."""
     if threshold is None:
@@ -64,6 +69,8 @@ def run_estimate(args) -> dict:
         raise InvalidInputError(f"bandwidth must be non-negative, got {args.bandwidth}")
     if not 0.0 < args.level < 1.0:
         raise InvalidInputError(f"confidence level must be in (0, 1), got {args.level}")
+    _check_threshold(args.threshold)
+    opts = FitOptions(loading_bound=args.loading_bound)
     if (args.policy_x0 is None) != (args.policy_x1 is None):
         raise InvalidInputError("--policy-x0 and --policy-x1 must be given together")
     flags = {"--policy-x0": args.policy_x0, "--policy-x1": args.policy_x1}
@@ -80,7 +87,6 @@ def run_estimate(args) -> dict:
     r = rank_info["used"]
     if not 1 <= r <= k:
         raise InvalidInputError(f"rank {r} outside 1..k={k}")
-    opts = FitOptions(loading_bound=args.loading_bound)
     fe = estimate_factors(panel, r)
     fit = fit_cce(panel, fe, family, opts)
     if not fit.converged:
@@ -235,6 +241,7 @@ def _print_estimate_report(report: dict, out=None):
 
 
 def run_factors(args) -> dict:
+    _check_threshold(args.threshold)
     panel = read_panel_csv(args.input)
     rules = _rank_rules(panel, args.threshold)
     fe = estimate_factors(panel, rules["r_threshold"])

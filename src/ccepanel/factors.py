@@ -47,19 +47,6 @@ class FactorEstimate:
         object.__setattr__(self, "factors", f)
         object.__setattr__(self, "eigenvectors", v)
 
-    def rotate(self, m: np.ndarray) -> "FactorEstimate":
-        """Replace factors F by F @ m (m invertible r x r); for diagnostics/tests."""
-        m = np.asarray(m, dtype=float)
-        if m.shape != (self.r, self.r):
-            raise InvalidInputError(f"rotation must be {self.r} x {self.r}")
-        return FactorEstimate(
-            self.factors @ m,
-            self.eigenvectors,
-            self.eigenvalues,
-            self.second_moment,
-            self.r,
-        )
-
 
 def cross_sectional_means(panel: Panel) -> np.ndarray:
     """T x k matrix whose row t averages the covariates over units."""
@@ -122,7 +109,7 @@ def default_threshold(n_units: int, n_periods: int) -> float:
 
 def rank_from_eigenvalues(eigenvalues: np.ndarray, p_nt: float) -> int:
     """Count of eigenvalues at or above the threshold, floored at 1."""
-    if p_nt <= 0:
+    if not p_nt > 0:  # NaN fails this too
         raise InvalidInputError(f"threshold must be positive, got {p_nt}")
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     return max(int(np.sum(eigenvalues >= p_nt)), 1)

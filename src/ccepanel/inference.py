@@ -2,9 +2,9 @@
 
 The coefficient covariance is the sandwich of the inverted curvature
 matrix around a Bartlett-weighted long-run variance of the influence
-scores; the APE variance applies the same kernel sum to the scalar APE
-influence values.  The same bandwidth drives every kernel sum in the
-package.
+scores that ``compute_beta_bias`` evaluates; the APE variance applies the
+same kernel sum to the scalar APE influence values.  The same bandwidth
+drives every kernel sum in the package.
 """
 
 from __future__ import annotations
@@ -30,18 +30,6 @@ class InferenceResult:
     std_errors: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    bandwidth: int
-    level: float
-
-
-def influence_scores(bias: BetaBiasComponents) -> np.ndarray:
-    """Cellwise influence scores of the coefficient estimator, (N,T,k).
-
-    Sum of the score in the projected-out regressor directions and the
-    factor-estimation-error channel through the covariate idiosyncrasies.
-    """
-    correction = np.einsum("tkr,ntr->ntk", bias.C_t, bias.e_rot)
-    return bias.l1[:, :, None] * bias.xdot + correction
 
 
 def beta_covariance(
@@ -60,7 +48,7 @@ def beta_covariance(
     one is supplied; the raw estimate otherwise).
     """
     n, t = panel.outcomes.shape
-    w = influence_scores(bias)
+    w = bias.influence
     omega = lag_cross_sum(w, w, bandwidth).sum(axis=0) / (n * t)
     omega = 0.5 * (omega + omega.T)  # purge rounding asymmetry
     try:
@@ -72,14 +60,7 @@ def beta_covariance(
     se = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
     center = fit.beta if point is None else np.asarray(point, dtype=float)
     lo, hi = confidence_interval(center, se, level)
-    return InferenceResult(
-        covariance=cov,
-        std_errors=se,
-        ci_lower=lo,
-        ci_upper=hi,
-        bandwidth=bandwidth,
-        level=level,
-    )
+    return InferenceResult(covariance=cov, std_errors=se, ci_lower=lo, ci_upper=hi)
 
 
 def ape_variance(
@@ -94,14 +75,13 @@ def ape_variance(
     """Long-run variance of the APE influence values (the APE standard
     error is sqrt of this divided by N*T)."""
     n, t = panel.outcomes.shape
-    w = influence_scores(bias)
     try:
         gd = np.linalg.solve(bias.Delta, ape_bias.gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"curvature matrix is singular: {exc}") from exc
     rf_minus_gt = np.einsum("trq,tq->tr", ape_bias.R_t, factors.factors) - ape_bias.gamma_t
     v = (
-        np.einsum("k,ntk->nt", gd, w)
+        np.einsum("k,ntk->nt", gd, bias.influence)
         + np.einsum("tr,ntr->nt", rf_minus_gt, bias.e_rot)
         + bias.l1 * ape_bias.proj_if
     )

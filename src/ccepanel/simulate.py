@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ape import PolicyPair, partial_effect
 from .bias import compute_beta_bias, correct_beta
 from .estimation import FitOptions, fit_cce
 from .exceptions import InvalidInputError, NumericalError
@@ -67,15 +66,10 @@ class DgpDraw:
     panel: Panel
     true_beta: np.ndarray
     true_index: np.ndarray  # interactive effects lambda'f, (N,T)
-    true_ape: float | None = None
 
 
-def generate(config: DgpConfig, policy: PolicyPair | None = None) -> DgpDraw:
-    """Draw one panel; deterministic given the seed.
-
-    When ``policy`` is supplied the draw carries the finite-sample true
-    APE, the average of the logistic partial effect over the drawn cells.
-    """
+def generate(config: DgpConfig) -> DgpDraw:
+    """Draw one panel; deterministic given the seed."""
     rng = np.random.default_rng(config.seed)
     n, t, burn = config.n_units, config.n_periods, config.burn_in
 
@@ -111,13 +105,7 @@ def generate(config: DgpConfig, policy: PolicyPair | None = None) -> DgpDraw:
     index = x @ TRUE_BETA + c0
     eps = rng.logistic(0.0, 1.0, size=(n, t))
     y = (index - eps >= 0.0).astype(float)
-
-    true_ape = None
-    if policy is not None:
-        true_ape = float(np.mean(partial_effect(Family.LOGIT, TRUE_BETA, c0, policy)))
-    return DgpDraw(
-        panel=Panel(y, x), true_beta=TRUE_BETA.copy(), true_index=c0, true_ape=true_ape
-    )
+    return DgpDraw(panel=Panel(y, x), true_beta=TRUE_BETA.copy(), true_index=c0)
 
 
 def replication_seed(base_seed: int, n: int, t: int, serial: bool, rep: int) -> int:

@@ -213,6 +213,11 @@ def beta_bias(family, y, x, f, psi, beta, lam, bandwidth):
         m = a_inv[i] @ q_i[i] @ a_inv[i]
         for s in range(t):
             b1 += -0.5 * l3[i, s] * xdot[i, s] * float(f[s] @ m @ f[s]) / (n * t)
+    # information form: the score outer product replaced by -A_i
+    b1_info = np.zeros(k)
+    for i in range(n):
+        for s in range(t):
+            b1_info += -0.5 * l3[i, s] * xdot[i, s] * float(f[s] @ -a_inv[i] @ f[s]) / (n * t)
 
     b2 = np.zeros(k)
     for i in range(n):
@@ -242,7 +247,7 @@ def beta_bias(family, y, x, f, psi, beta, lam, bandwidth):
     return {
         "A_i": a_i, "B_i": b_i, "xdot": xdot, "Delta": delta, "Q_i": q_i,
         "Gamma_i": gamma_i, "e_hat": e_hat, "Upsilon": upsilon, "C_t": c_t,
-        "D_tj": d_tj, "G_tj": g_tj, "b1": b1, "b2": b2, "d1": d1, "d2": d2,
+        "D_tj": d_tj, "G_tj": g_tj, "b1": b1, "b1_info": b1_info, "b2": b2, "d1": d1, "d2": d2,
         "l1": l1, "l2": l2, "l3": l3, "A_inv": a_inv, "z": z,
     }
 
@@ -301,6 +306,13 @@ def ape_bias(family, y, x, f, psi, beta, lam, x0, x1, bandwidth, bb=None):
                 (0.5 * d_cc[i, s] - 0.5 * l3[i, s] * float(gamma_i[i] @ a_inv[i] @ f[s]))
                 * float(f[s] @ m @ f[s]) / (n * t)
             )
+    b3_info = 0.0
+    for i in range(n):
+        for s in range(t):
+            b3_info += (
+                (0.5 * d_cc[i, s] - 0.5 * l3[i, s] * float(gamma_i[i] @ a_inv[i] @ f[s]))
+                * float(f[s] @ -a_inv[i] @ f[s]) / (n * t)
+            )
 
     b4 = 0.0
     for i in range(n):
@@ -331,7 +343,7 @@ def ape_bias(family, y, x, f, psi, beta, lam, x0, x1, bandwidth, bb=None):
 
     return {
         "gamma": gamma, "gamma_i": gamma_i, "gamma_t": gamma_t,
-        "R_t": r_t, "W_t": w_t, "b3": b3, "b4": b4, "d3": d3, "d4": d4,
+        "R_t": r_t, "W_t": w_t, "b3": b3, "b3_info": b3_info, "b4": b4, "d3": d3, "d4": d4,
         "d_c": d_c, "d_cc": d_cc, "d_beta": d_beta, "bb": bb,
     }
 

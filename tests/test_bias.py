@@ -12,14 +12,16 @@ from conftest import make_factor_estimate, make_fit
 
 import oracles as orc
 
-BETA_FIELDS = (
-    "A_i", "B_i", "xdot", "Delta", "Q_i", "Gamma_i", "e_hat", "Upsilon",
-    "C_t", "D_tj", "G_tj", "b1", "b2", "d1", "d2",
-)
-APE_FIELDS = (
-    "gamma", "gamma_i", "gamma_t", "R_t", "W_t", "b3", "b4", "d3", "d4",
-    "d_c", "d_cc", "d_beta",
-)
+# record field -> oracle key; the first bias pieces take the information
+# form of the score outer product
+BETA_FIELDS = {
+    "xdot": "xdot", "Delta": "Delta", "b1": "b1_info", "b2": "b2", "d1": "d1", "d2": "d2",
+    "influence": "influence", "l1": "l1", "l2": "l2", "l3": "l3", "A_inv": "A_inv",
+}
+APE_FIELDS = {
+    "gamma": "gamma", "gamma_t": "gamma_t", "R_t": "R_t", "b3": "b3_info", "b4": "b4",
+    "d3": "d3", "d4": "d4",
+}
 
 
 def _random_instance(rng, family_name):
@@ -75,52 +77,27 @@ def test_bias_components_match_loop_oracle(family_name):
         panel, fe, fit, raw, bw = _random_instance(rng, family_name)
         y, x, f, psi, beta, lam = raw
         try:
-            bb = cp.compute_beta_bias(
-                panel, fit, fe, family, bandwidth=bw, score_outer_product="hac"
-            )
+            bb = cp.compute_beta_bias(panel, fit, fe, family, bandwidth=bw)
         except NumericalError as exc:
             assert _oracle_degenerate(family_name, raw), f"{family_name}: {exc}"
             continue
         compared += 1
         ob = orc.beta_bias(family_name, y, x, f, psi, beta, lam, bw)
-        for key in BETA_FIELDS:
+        ob["influence"] = orc.omega(family_name, y, x, f, psi, beta, lam, bw, bb=ob)[1]
+        for key, oracle_key in BETA_FIELDS.items():
             assert_allclose(
-                np.asarray(getattr(bb, key)), ob[key], atol=1e-10,
+                np.asarray(getattr(bb, key)), ob[oracle_key], atol=1e-10,
                 err_msg=f"{family_name} L={bw} field {key}",
             )
-        # information mode: only the first bias piece changes, by the
-        # documented substitution of the score outer product
-        bb_info = cp.compute_beta_bias(panel, fit, fe, family, bandwidth=bw)
-        b1_info = np.zeros(x.shape[2])
-        for i in range(x.shape[0]):
-            m = -ob["A_inv"][i]
-            for s in range(x.shape[1]):
-                b1_info += (
-                    -0.5 * ob["l3"][i, s] * ob["xdot"][i, s]
-                    * float(f[s] @ m @ f[s]) / x.shape[0] / x.shape[1]
-                )
-        assert_allclose(bb_info.b1, b1_info, atol=1e-10)
-        for key in ("b2", "d1", "d2", "Q_i", "Delta"):
-            assert_allclose(np.asarray(getattr(bb_info, key)), ob[key], atol=1e-10)
         pol = _random_policy(rng, family_name, x.shape[2])
         ab = cp.compute_ape_bias(panel, fit, fe, family, pol, bb, bandwidth=bw)
         oa = orc.ape_bias(family_name, y, x, f, psi, beta, lam, pol.x0, pol.x1, bw, bb=ob)
-        for key in APE_FIELDS:
+        for key, oracle_key in APE_FIELDS.items():
             assert_allclose(
-                np.asarray(getattr(ab, key)), np.asarray(oa[key]), atol=1e-10,
+                np.asarray(getattr(ab, key)), np.asarray(oa[oracle_key]), atol=1e-10,
                 err_msg=f"{family_name} L={bw} ape field {key}",
             )
     assert compared == 6
-
-
-def test_bandwidth_zero_keeps_contemporaneous_score_products(rng):
-    panel, fe, fit, raw, _ = _random_instance(rng, "logit")
-    y, x, f, psi, beta, lam = raw
-    bb = cp.compute_beta_bias(panel, fit, fe, Family.LOGIT, bandwidth=0)
-    t = y.shape[1]
-    l1 = orc.derivs("logit", y, fit.index, 1)
-    want = np.einsum("nt,tr,ts->nrs", l1 * l1, f, f) / t
-    assert_allclose(bb.Q_i, want, atol=1e-12)
 
 
 def test_lag_cross_sum_matches_double_loop(rng):
@@ -146,8 +123,6 @@ def test_beta_bias_input_errors_come_first(rng):
     # a degenerate fit would raise NumericalError, so these must raise earlier
     with pytest.raises(InvalidInputError, match="bandwidth"):
         cp.compute_beta_bias(panel, bad, fe, Family.LOGIT, bandwidth=-1)
-    with pytest.raises(InvalidInputError, match="score_outer_product"):
-        cp.compute_beta_bias(panel, bad, fe, Family.LOGIT, score_outer_product="sandwich")
 
 
 def test_correct_beta_identities(rng):
@@ -177,16 +152,13 @@ def test_ape_bias_zero_policy(rng):
 
 
 def test_gaussian_ape_bias_degenerates(rng):
-    # linear response: d_cc = 0 and l3 = 0, so W_t and b3 vanish without
-    # any special-casing
+    # linear response: d_cc = 0 and l3 = 0, so b3 vanishes without any
+    # special-casing
     panel, fe, fit, raw, bw = _random_instance(rng, "gaussian")
     pol = _random_policy(rng, "gaussian", panel.n_covariates)
     bb = cp.compute_beta_bias(panel, fit, fe, Family.GAUSSIAN, bandwidth=bw)
     ab = cp.compute_ape_bias(panel, fit, fe, Family.GAUSSIAN, pol, bb, bandwidth=bw)
-    assert_allclose(ab.W_t, 0.0, atol=1e-15)
     assert ab.b3 == 0.0
-    assert_allclose(ab.d_cc, 0.0, atol=1e-15)
-    assert_allclose(ab.gamma_i, 0.0, atol=1e-15)
 
 
 def test_correct_ape_sign_flip(rng):
@@ -196,8 +168,9 @@ def test_correct_ape_sign_flip(rng):
     bb = cp.compute_beta_bias(panel, fit, fe, Family.LOGIT, bandwidth=bw)
     ab = cp.compute_ape_bias(panel, fit, fe, Family.LOGIT, pol, bb, bandwidth=bw)
     ape = cp.ape_estimate(fit, fe, Family.LOGIT, pol)
-    abs_ = cp.compute_ape_bias(panel, fit, fe, Family.LOGIT, pol.swapped(), bb, bandwidth=bw)
-    ape_s = cp.ape_estimate(fit, fe, Family.LOGIT, pol.swapped())
+    swapped = PolicyPair(pol.x1, pol.x0)
+    abs_ = cp.compute_ape_bias(panel, fit, fe, Family.LOGIT, swapped, bb, bandwidth=bw)
+    ape_s = cp.ape_estimate(fit, fe, Family.LOGIT, swapped)
     corrected = cp.correct_ape(ape, bb, ab, n, t)
     corrected_s = cp.correct_ape(ape_s, bb, abs_, n, t)
     assert_allclose(corrected_s, -corrected, atol=1e-14)
@@ -206,8 +179,9 @@ def test_correct_ape_sign_flip(rng):
 def test_residual_orthogonality(rng):
     panel, fe, fit, raw, bw = _random_instance(rng, "logit")
     bb = cp.compute_beta_bias(panel, fit, fe, Family.LOGIT, bandwidth=bw)
-    # least-squares identity: factor-weighted residual sums vanish per unit
-    cross = np.einsum("tr,ntk->nrk", fe.factors, bb.e_hat)
+    # least-squares identity: factor-weighted residual sums vanish per
+    # unit, so they vanish for the rotated residuals e_rot = Upsilon e_hat too
+    cross = np.einsum("tr,ntq->nrq", fe.factors, bb.e_rot)
     assert np.abs(cross).max() < 1e-8
 
 
@@ -215,7 +189,6 @@ def test_structure_of_components(rng):
     panel, fe, fit, raw, _ = _random_instance(rng, "logit")
     bb = cp.compute_beta_bias(panel, fit, fe, Family.LOGIT, bandwidth=2)
     assert_allclose(bb.Delta, bb.Delta.T, atol=1e-10)
-    assert_allclose(bb.Q_i, bb.Q_i.transpose(0, 2, 1), atol=1e-10)
     # logit curvature is strictly negative: Delta is negative definite
     assert np.all(np.linalg.eigvalsh(bb.Delta) < 0)
 

@@ -40,6 +40,45 @@ def test_estimate_end_to_end(sim_csv, tmp_path, capsys):
     assert "coefficients" in text and "ape:" in text
 
 
+def test_estimate_analytical_matches_library_pipeline(sim_csv, tmp_path):
+    # the CLI report carries exactly what the library chain gives
+    out = tmp_path / "report.json"
+    code = main([
+        "estimate", "--input", sim_csv, "--family", "logit", "--correction", "analytical",
+        "--bandwidth", "2", "--policy-x0", "0,0,0,0", "--policy-x1", "1,0,0,0",
+        "--json", str(out),
+    ])
+    assert code == 0
+    report = json.loads(out.read_text())
+
+    family = cp.Family.LOGIT
+    panel = cp.read_panel_csv(sim_csv)
+    n, t = panel.n_units, panel.n_periods
+    r = cp.estimate_rank_threshold(panel, cp.default_threshold(n, t))
+    fe = cp.estimate_factors(panel, r)
+    fit = cp.fit_cce(panel, fe, family)
+    bias = cp.compute_beta_bias(panel, fit, fe, family, bandwidth=2)
+    beta_abc = cp.correct_beta(fit, bias, n, t)
+    inference = cp.beta_covariance(panel, fit, fe, family, bias, bandwidth=2, point=beta_abc)
+    policy = cp.PolicyPair(np.zeros(4), np.eye(4)[0])
+    ape = cp.ape_estimate(fit, fe, family, policy)
+    ape_bias = cp.compute_ape_bias(panel, fit, fe, family, policy, bias, 2)
+    ape_abc = cp.correct_ape(ape, bias, ape_bias, n, t)
+    ape_se = float(np.sqrt(cp.ape_variance(panel, fit, fe, family, bias, ape_bias, 2) / (n * t)))
+    lo, hi = cp.confidence_interval(ape_abc, ape_se, 0.95)
+
+    assert report["rank"]["used"] == r
+    assert report["beta"]["raw"] == list(fit.beta)
+    assert report["beta"]["corrected"] == list(beta_abc)
+    assert report["beta"]["std_errors"] == list(inference.std_errors)
+    assert report["beta"]["ci_lower"] == list(inference.ci_lower)
+    assert report["beta"]["ci_upper"] == list(inference.ci_upper)
+    assert report["ape"]["estimate"] == ape.value
+    assert report["ape"]["corrected"] == ape_abc
+    assert report["ape"]["std_error"] == ape_se
+    assert [report["ape"]["ci_lower"], report["ape"]["ci_upper"]] == [lo, hi]
+
+
 def test_estimate_requires_both_policy_vectors(sim_csv):
     assert main([
         "estimate", "--input", sim_csv, "--family", "logit", "--policy-x0", "0,0,0,0",
@@ -153,8 +192,8 @@ def test_simulate_command(tmp_path, capsys):
     assert table_csv.exists()
 
 
-def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys, monkeypatch):
-    # both are rejected before the panel is read, so no fit runs
+def test_estimate_negative_bandwidth_is_input_error(sim_csv, tmp_path, capsys, monkeypatch):
+    # all are rejected before the panel is read, so no fit runs
     fits = _record_fits(monkeypatch)
     code = main(["estimate", "--input", sim_csv, "--family", "logit", "--bandwidth", "-1"])
     assert code == 2
@@ -166,6 +205,20 @@ def test_estimate_negative_bandwidth_is_input_error(sim_csv, capsys, monkeypatch
     ])
     assert code == 2
     assert "level" in capsys.readouterr().err
+    # a missing input file would be the first error if these came after the read
+    missing = str(tmp_path / "none.csv")
+    cases = [
+        (["estimate", "--loading-bound", "0"], "loading_bound"),
+        (["estimate", "--loading-bound", "nan"], "loading_bound"),
+        (["estimate", "--threshold", "0"], "threshold"),
+        (["estimate", "--threshold", "nan"], "threshold"),
+        (["factors", "--threshold", "0"], "threshold"),
+    ]
+    for (command, *flags), name in cases:
+        extra = ["--family", "logit"] if command == "estimate" else []
+        assert main([command, "--input", missing, *extra, *flags]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "cannot read" not in err, (flags, err)
     assert fits == []
 
 

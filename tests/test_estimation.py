@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -148,7 +150,7 @@ def test_fit_rotation_invariance():
     opts = FitOptions(grad_tolerance=1e-11)
     fit = cp.fit_cce(panel, fe, Family.LOGIT, opts)
     m = np.array([[1.3, -0.4], [0.2, 0.8]])
-    fit_rot = cp.fit_cce(panel, fe.rotate(m), Family.LOGIT, opts)
+    fit_rot = cp.fit_cce(panel, dataclasses.replace(fe, factors=fe.factors @ m), Family.LOGIT, opts)
     assert fit.converged and fit_rot.converged
     assert np.abs(fit.beta - fit_rot.beta).max() < 1e-6
     assert np.abs(fit.index - fit_rot.index).max() < 1e-6

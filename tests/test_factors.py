@@ -115,6 +115,8 @@ def test_rank_threshold_examples():
     assert rank_from_eigenvalues(np.array([1e-8, 1e-9]), 0.5) == 1  # floor rule
     with pytest.raises(InvalidInputError):
         rank_from_eigenvalues(np.array([1.0]), 0.0)
+    with pytest.raises(InvalidInputError):
+        rank_from_eigenvalues(np.array([1.0]), float("nan"))  # would floor to rank 1
 
 
 def test_rank_ratio_examples():

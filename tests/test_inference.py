@@ -86,11 +86,10 @@ def test_covariance_properties(rng):
 
 def test_omega_psd_under_bartlett(rng):
     from ccepanel.bias import lag_cross_sum
-    from ccepanel.inference import influence_scores
 
     for bw in (0, 1, 3):
         panel, fe, fit, family, bias, _ = _instance(rng, "logit", n=5, t=7, bw=bw)
-        w = influence_scores(bias)
+        w = bias.influence
         omega = lag_cross_sum(w, w, bw).sum(axis=0) / w.shape[0] / w.shape[1]
         eig = np.linalg.eigvalsh(0.5 * (omega + omega.T))
         assert eig.min() >= -1e-8 * np.trace(omega)

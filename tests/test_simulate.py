@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import ccepanel as cp
-from ccepanel import DgpConfig, InvalidInputError, PolicyPair
+from ccepanel import DgpConfig, InvalidInputError
 from ccepanel.simulate import TRUE_BETA, replication_seed
 
 
@@ -58,14 +58,6 @@ def test_outcome_frequency_matches_logistic_probability():
     index = draw.panel.covariates @ TRUE_BETA + draw.true_index
     implied = expit(index).mean()
     assert abs(draw.panel.outcomes.mean() - implied) < 0.01
-
-
-def test_true_ape_matches_direct_computation():
-    pol = PolicyPair(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
-    draw = cp.generate(DgpConfig(n_units=25, n_periods=20, seed=9), policy=pol)
-    z0 = draw.true_index + TRUE_BETA @ pol.x0
-    z1 = draw.true_index + TRUE_BETA @ pol.x1
-    assert_allclose(draw.true_ape, float((expit(z1) - expit(z0)).mean()), rtol=1e-12)
 
 
 def test_replication_seed_is_order_free():
