@@ -28,7 +28,7 @@ from .ape import ApeEstimate, PolicyPair, policy_grid
 from .estimation import CceFit
 from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
-from .likelihood import Family, _index_derivatives
+from .likelihood import Family, _index_derivatives, validate_outcomes
 from .panel import Panel
 
 _COND_LIMIT = 1e10
@@ -165,11 +165,18 @@ def compute_beta_bias(
         raise InvalidInputError(f"bandwidth must be non-negative, got {bandwidth}")
     x = panel.covariates
     y = panel.outcomes
+    z = fit.index
+    # the derivative kernel trusts its inputs (binary ones fold y into the
+    # sign of the index), so check them here as fit_cce does
+    validate_outcomes(family, y)
+    if z.shape != y.shape:
+        raise InvalidInputError(
+            f"fit index has shape {z.shape} but the panel outcomes {y.shape}"
+        )
     f = factors.factors
     lam = fit.loadings
     n, t, k = x.shape
     r = f.shape[1]
-    z = fit.index
 
     l1, l2, l3 = _index_derivatives(family, y, z, 3)
 

@@ -31,7 +31,7 @@ from .likelihood import Family
 from .panel import Panel, read_panel_csv
 from .simulate import run_grid
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -91,8 +91,8 @@ def run_estimate(args) -> dict:
     fit = fit_cce(panel, fe, family, opts)
     if not fit.converged:
         raise NumericalError(
-            f"estimation did not converge after {fit.iterations} iterations "
-            f"(gradient norm {fit.grad_norm:.3g}); "
+            f"estimation did not converge ({fit.stop_reason}) after "
+            f"{fit.iterations} iterations (gradient norm {fit.grad_norm:.3g}); "
             f"{fit.bound_hits} unit(s) at the loading bound"
         )
 
@@ -164,6 +164,7 @@ def run_estimate(args) -> dict:
         "eigenvalues": list(fe.eigenvalues),
         "fit": {
             "converged": fit.converged,
+            "stop_reason": fit.stop_reason,
             "iterations": fit.iterations,
             "grad_norm": fit.grad_norm,
             "loglik": fit.loglik,
@@ -209,7 +210,8 @@ def _print_estimate_report(report: dict, out=None):
     print("eigenvalues: " + ", ".join(f"{v:.6g}" for v in report["eigenvalues"]), file=out)
     fit = report["fit"]
     print(
-        f"fit: converged={fit['converged']} iterations={fit['iterations']} "
+        f"fit: converged={fit['converged']} stop_reason={fit['stop_reason']} "
+        f"iterations={fit['iterations']} "
         f"grad_norm={fit['grad_norm']:.3g} loglik={fit['loglik']:.6f} "
         f"bound_hits={fit['bound_hits']}",
         file=out,

@@ -71,6 +71,10 @@ class CceFit:
     (coefficients scaled by 1/(NT), each unit's loading block by 1/T),
     projected at active loading bounds.  ``objective_path`` records the
     average log likelihood after every accepted update phase.
+    ``stop_reason`` says why the outer iteration ended: ``"converged"``,
+    ``"max_iterations"``, ``"singular_coefficient_system"`` (the
+    coefficient Newton system could not be solved) or
+    ``"coefficient_line_search_failed"``.
     """
 
     beta: np.ndarray
@@ -79,9 +83,13 @@ class CceFit:
     loglik: float
     grad_norm: float
     iterations: int
-    converged: bool
+    stop_reason: str
     bound_hits: int = 0
     objective_path: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _check_dimensions(panel: Panel, factors: FactorEstimate, beta, loadings):
@@ -305,8 +313,9 @@ def fit_cce(
     Returns
     -------
     CceFit
-        With ``converged=False`` (never an exception) when the iteration
-        cap or line-search budget is exhausted.
+        With ``converged=False`` (never an exception) and the cause in
+        ``stop_reason`` when the iteration cap is reached, the coefficient
+        system is singular or the coefficient line search fails.
     """
     opts = opts or FitOptions()
     y = panel.outcomes
@@ -334,7 +343,7 @@ def fit_cce(
     path = [float(_log_density_unchecked(family, y, z_base + lam @ f.T).mean())]
     if not np.isfinite(path[0]):
         raise InitializationError(f"{family.value} start is infeasible (non-finite objective)")
-    converged = False
+    stop_reason = "max_iterations"
     grad_norm = np.inf
     iterations = 0
 
@@ -350,7 +359,7 @@ def fit_cce(
         gl, pinned = _loading_score(l1, f, lam, bound)
         grad_norm = max(float(np.abs(gb).max()) / (n * t), float(np.abs(gl).max()) / t)
         if grad_norm <= tol:
-            converged = True
+            stop_reason = "converged"
             break
 
         # profile Newton step for the coefficients, pinned loadings held fixed
@@ -366,6 +375,7 @@ def fit_cce(
             rhs = gb - np.einsum("nkr,nr->k", hbl, t2)
             db = -_solve_neg_definite(schur, rhs)
         except np.linalg.LinAlgError:
+            stop_reason = "singular_coefficient_system"
             break
 
         def trial(rows, step, alpha):
@@ -376,6 +386,7 @@ def fit_cce(
             trial, np.array([obj]), gb[None], db[None], n * t, _HALVING_MAX
         )
         if not ok[0]:
+            stop_reason = "coefficient_line_search_failed"
             break
         beta = beta + alpha[0] * db[0]
         z_base = z_base + alpha[0] * (x @ db[0])
@@ -391,7 +402,7 @@ def fit_cce(
         loglik=float(_log_density_unchecked(family, y, index).mean()),
         grad_norm=float(grad_norm),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         bound_hits=bound_hits,
         objective_path=np.asarray(path),
     )

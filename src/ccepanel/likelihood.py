@@ -12,6 +12,16 @@ logit     binary y, G(z) = exp(z) / (1 + exp(z))
 probit    binary y, G(z) = standard normal CDF
 poisson   count y, intensity equal to the index itself (requires z > 0)
 gaussian  real y, least-squares objective -(y - z)^2
+
+Both binary families are symmetric, 1 - G(z) = G(-z), so with the outcome
+sign s = 2y - 1 the log density is log G(s z) and its j-th index
+derivative is s^j times the j-th derivative of log G at s z.  The binary
+kernels make one evaluation at s z per cell instead of one per branch.
+The values are those of the two-branch form y F(z) + (1 - y) F(-z): s z
+is exactly +-z, and the dropped branch only added a zero (or, past
+|z| ~ 1e154, a nan from 0 * inf that the fold no longer makes).  This
+holds for y in {0, 1} only, so every entry point validates the outcomes
+before a kernel runs.
 """
 
 from __future__ import annotations
@@ -89,6 +99,11 @@ def _norm_logpdf(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
+def _outcome_sign(y):
+    """s = 2y - 1: +1 at y = 1 and -1 at y = 0 (binary outcomes only)."""
+    return 2.0 * y - 1.0
+
+
 # --------------------------------------------------------------------- #
 # derivative ladders: each yields one order after another from a single
 # transcendental evaluation, so a caller pays for the orders it takes.
@@ -131,12 +146,10 @@ def _index_ladder(family: Family, y, z):
         for d in curve:
             yield -d
     elif family is Family.PROBIT:
-        # l(1, z) = log Phi(z), l(0, z) = log Phi(-z); combine both branches
-        # through the symmetry d^j/dz^j log Phi(-z) = (-1)^j psi_j(-z).
-        sign = 1.0
-        for pos, neg in zip(_logphi_ladder(z), _logphi_ladder(-z)):
-            sign = -sign
-            yield y * pos + (1.0 - y) * (neg * sign)
+        # l(y, z) = log Phi(s z) with s = 2y - 1, so l_j = s^j psi_j(s z)
+        s = _outcome_sign(y)
+        for j, d in enumerate(_logphi_ladder(s * z), start=1):
+            yield s * d if j % 2 else d
     elif family is Family.POISSON:
         yield y / z - 1.0
         yield -y / z**2
@@ -151,7 +164,11 @@ def _index_ladder(family: Family, y, z):
 
 
 def _index_derivatives(family: Family, y, z, order: int) -> tuple:
-    """(l_1, ..., l_order) at one index, for float arrays in the domain."""
+    """(l_1, ..., l_order) at one index, for float arrays in the domain.
+
+    Outcomes are not checked here: a binary y outside {0, 1} would give
+    wrong numbers silently, so callers validate them first.
+    """
     return tuple(itertools.islice(_index_ladder(family, y, z), order))
 
 
@@ -184,17 +201,14 @@ def log_density(family: Family, y, z):
 
 
 def _log_density_unchecked(family: Family, y, z):
-    """Log density at valid outcomes; -inf at poisson cells with z <= 0, so
-    a line-search trial outside the domain is rejected by its objective."""
+    """Log density at validated outcomes (one log-CDF per binary cell, at
+    s z); -inf at poisson cells with z <= 0, so a line-search trial outside
+    the domain is rejected by its objective."""
     if family is Family.LOGIT:
-        # log G(z) = log_expit(z), log(1 - G(z)) = log_expit(-z)
-        return np.asarray(
-            y * special.log_expit(z) + (1.0 - y) * special.log_expit(-z)
-        )
+        # log G(z) at y = 1, log(1 - G(z)) = log G(-z) at y = 0
+        return np.asarray(special.log_expit(_outcome_sign(y) * z))
     if family is Family.PROBIT:
-        return np.asarray(
-            y * special.log_ndtr(z) + (1.0 - y) * special.log_ndtr(-z)
-        )
+        return np.asarray(special.log_ndtr(_outcome_sign(y) * z))
     if family is Family.POISSON:
         inside = z > 0.0
         log_z = np.log(np.where(inside, z, 1.0))

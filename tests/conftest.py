@@ -39,7 +39,7 @@ def make_fit(beta, loadings, factors, panel=None, family=None):
         loglik=0.0,
         grad_norm=0.0,
         iterations=0,
-        converged=True,
+        stop_reason="converged",
     )
 
 

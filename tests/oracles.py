@@ -6,6 +6,8 @@ expressions coded here independently of the package.  The vectorized
 package implementations must match these on small panels to 1e-10.
 """
 
+import math
+
 import numpy as np
 from scipy import special, stats
 
@@ -63,6 +65,31 @@ def probit_derivs_mp(y, z, order: int):
             fn = lambda s: mpmath.log(mpmath.ncdf(sign * s))  # noqa: E731
             out.append(float(mpmath.diff(fn, mpmath.mpf(float(zi)), order)))
     return np.reshape(out, np.shape(z))
+
+
+def binary_log_density_two_branch(family: str, y, z):
+    """y log G(z) + (1 - y) log G(-z), both branches at every cell, through
+    the package's log-CDF calls: the reference its one-evaluation binary
+    density must reproduce float for float."""
+    log_cdf = special.log_expit if family == "logit" else special.log_ndtr
+    return y * log_cdf(z) + (1.0 - y) * log_cdf(-z)
+
+
+def _logphi_derivs(z):
+    """psi_1..psi_4, the derivatives of log Phi, from the hazard
+    h = phi / Phi and its recursion h' = -z h - h^2, in the package's
+    floating-point operations so that comparisons can be exact."""
+    h = np.exp((-0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) - special.log_ndtr(z))
+    d2 = -h * (z + h)
+    zh = z + 2.0 * h
+    d3 = -h - zh * d2
+    return h, d2, d3, -2.0 * d2 - 2.0 * d2 * d2 - zh * d3
+
+
+def probit_derivs_two_branch(y, z, order: int):
+    """y psi_j(z) + (1 - y) (-1)^j psi_j(-z), both branches at every cell."""
+    pos, neg = _logphi_derivs(z)[order - 1], _logphi_derivs(-z)[order - 1]
+    return y * pos + (1.0 - y) * (neg * (-1.0) ** order)
 
 
 def log_density(family: str, y, z):

@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -123,6 +124,24 @@ def test_beta_bias_input_errors_come_first(rng):
     # a degenerate fit would raise NumericalError, so these must raise earlier
     with pytest.raises(InvalidInputError, match="bandwidth"):
         cp.compute_beta_bias(panel, bad, fe, Family.LOGIT, bandwidth=-1)
+
+
+def test_beta_bias_rejects_outcomes_outside_the_family_domain(rng):
+    panel, fe, fit, _, _ = _random_instance(rng, "logit")
+    y = panel.outcomes.copy()
+    y[1, 2] = 0.5
+    with pytest.raises(InvalidInputError, match="0, 1"):
+        cp.compute_beta_bias(cp.Panel(y, panel.covariates), fit, fe, Family.LOGIT)
+    # poisson cells need non-negative integer outcomes
+    with pytest.raises(InvalidInputError, match="integer"):
+        cp.compute_beta_bias(cp.Panel(y, panel.covariates), fit, fe, Family.POISSON)
+
+
+def test_beta_bias_rejects_an_index_of_another_shape(rng):
+    panel, fe, fit, _, _ = _random_instance(rng, "logit")
+    short = dataclasses.replace(fit, index=fit.index[:, 1:])
+    with pytest.raises(InvalidInputError, match="shape"):
+        cp.compute_beta_bias(panel, short, fe, Family.LOGIT)
 
 
 def test_correct_beta_identities(rng):

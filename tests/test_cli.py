@@ -28,7 +28,7 @@ def test_estimate_end_to_end(sim_csv, tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["rank"]["used"] == 2  # threshold rule finds both factors
     beta = np.array(report["beta"]["corrected"])
     # within 4 Monte Carlo standard deviations of the unit coefficients
@@ -36,6 +36,7 @@ def test_estimate_end_to_end(sim_csv, tmp_path, capsys):
     assert report["ape"] is not None
     assert report["ape"]["std_error"] > 0
     assert report["fit"]["converged"] is True
+    assert report["fit"]["stop_reason"] == "converged"
     text = capsys.readouterr().out
     assert "coefficients" in text and "ape:" in text
 

@@ -7,7 +7,13 @@ from scipy.optimize import minimize
 
 import ccepanel as cp
 from ccepanel import FitOptions, InitializationError, InvalidInputError
-from ccepanel.estimation import _line_search, _loading_hessian, _loading_score, _solve_loadings
+from ccepanel.estimation import (
+    _line_search,
+    _loading_hessian,
+    _loading_score,
+    _solve_loadings,
+    _solve_neg_definite,
+)
 from ccepanel.likelihood import Family
 from conftest import logit_test_panel, make_factor_estimate
 
@@ -209,6 +215,7 @@ def test_fit_kkt_at_the_box():
                      FitOptions(loading_bound=8.0))
     tol = FitOptions().grad_tolerance
     assert fit.converged and fit.grad_norm <= tol
+    assert fit.stop_reason == "converged"
     assert fit.bound_hits == 1 and fit.loadings[0, 0] == 8.0
     g_beta, g_lam = orc.score_blocks("logit", y, panel.covariates, f, fit.beta, fit.loadings)
     assert g_lam[0, 0] > 1e-4  # outward: the bound binds
@@ -220,7 +227,38 @@ def test_fit_nonconvergence_is_flagged_not_raised(rng):
     fe = cp.estimate_factors(panel, 1)
     fit = cp.fit_cce(panel, fe, Family.LOGIT, FitOptions(max_iterations=1, grad_tolerance=1e-14))
     assert not fit.converged
+    assert fit.stop_reason == "max_iterations" and fit.iterations == 1
     assert np.isfinite(fit.loglik)
+
+
+def test_fit_reports_a_failed_coefficient_line_search(rng):
+    # a covariate that is zero in every cell has a zero score, so the
+    # coefficient step has no ascent direction; a tolerance below rounding
+    # keeps the loading score from ever meeting it first
+    panel = logit_test_panel(rng, n=15, t=12, k=1)
+    panel = cp.Panel(panel.outcomes, np.zeros_like(panel.covariates))
+    fe = make_factor_estimate(rng.standard_normal((12, 1)) + 1.0)
+    fit = cp.fit_cce(panel, fe, Family.LOGIT, FitOptions(grad_tolerance=1e-300))
+    assert fit.stop_reason == "coefficient_line_search_failed"
+    assert not fit.converged and fit.iterations == 0
+    assert fit.beta.tolist() == [0.0]
+
+
+def test_fit_reports_a_singular_coefficient_system(rng, monkeypatch):
+    # the ridge fallback of _solve_neg_definite solves every finite
+    # negative semi-definite system, so only a non-finite curvature reaches
+    # this stop; stand in for that by failing every k x k solve (the pooled
+    # start then takes gradient steps, the batched loading solves run as is)
+    def failing_solve(h, rhs):
+        if h.ndim == 2:
+            raise np.linalg.LinAlgError("singular")
+        return _solve_neg_definite(h, rhs)
+
+    monkeypatch.setattr("ccepanel.estimation._solve_neg_definite", failing_solve)
+    panel = logit_test_panel(rng, n=15, t=12)
+    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 1), Family.LOGIT)
+    assert fit.stop_reason == "singular_coefficient_system"
+    assert not fit.converged and fit.iterations == 0
 
 
 def test_fit_options_validation():

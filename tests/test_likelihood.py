@@ -5,6 +5,9 @@ import zlib
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from ccepanel import InvalidInputError, index_derivative, log_density
@@ -179,6 +182,61 @@ def test_ladders_match_oracle_derivatives(family):
         want = orc.response_curve(family.value, z, order)
         err = np.abs(got - want) / (1.0 + np.abs(want))
         assert err.max() < 1e-12, f"{family.value} response order {order}: {err.max():.2e}"
+
+
+# --------------------------------------------------------------------- #
+# the binary kernels fold the outcome into the sign of the index: exactly
+# the values of the two-branch form y F(z) + (1 - y) F(-z)
+# --------------------------------------------------------------------- #
+
+_SIGN_GRID = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 8.0, -8.0, 40.0, -40.0,
+     300.0, -300.0, 1e4, -1e4]
+)
+# beyond |z| ~ 1e154 the two-branch reference itself turns nan (0 * inf in
+# its dropped branch), so the draws stay inside the grid's range
+_draw_z = hnp.arrays(
+    np.float64, hnp.array_shapes(max_dims=2, max_side=12),
+    elements=st.floats(-1e4, 1e4, allow_nan=False),
+)
+
+
+def _assert_fold_matches_two_branch(family, y, z):
+    got = log_density(family, y, z)
+    want = orc.binary_log_density_two_branch(family.value, y, z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # signed zeros too
+    if family is Family.PROBIT:
+        # equal values; where the hazard underflows (y = 0, z < -38) an odd
+        # order is -0.0 where the two-branch sum made it +0.0
+        for order in (1, 2, 3, 4):
+            got = index_derivative(family, y, z, order)
+            assert np.array_equal(got, orc.probit_derivs_two_branch(y, z, order))
+
+
+@pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+def test_binary_fold_is_exact_on_the_grid(family):
+    for y in (0.0, 1.0):
+        _assert_fold_matches_two_branch(family, y, _SIGN_GRID)
+    yy, zz = np.meshgrid([0.0, 1.0], _SIGN_GRID)
+    _assert_fold_matches_two_branch(family, yy, zz)
+
+
+@pytest.mark.parametrize("family", [Family.LOGIT, Family.PROBIT])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_binary_fold_is_exact_on_drawn_arrays(family, data):
+    z = data.draw(_draw_z)
+    y = data.draw(st.sampled_from([0.0, 1.0]))
+    _assert_fold_matches_two_branch(family, y, z)
+    y = data.draw(hnp.arrays(np.float64, z.shape, elements=st.sampled_from([0.0, 1.0])))
+    _assert_fold_matches_two_branch(family, y, z)
+
+
+def test_binary_fold_stays_finite_where_the_two_branch_form_does_not():
+    # log Phi(-1e200) is -inf, which the two-branch form multiplied by 0
+    z = np.array([1e200, -1e200])
+    assert log_density(Family.PROBIT, np.array([1.0, 0.0]), z).tolist() == [0.0, 0.0]
 
 
 # --------------------------------------------------------------------- #
