@@ -6,10 +6,13 @@ expressions coded here independently of the package.  The vectorized
 package implementations must match these on small panels to 1e-10.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy import special, stats
+
+from ccepanel import Panel, PanelFormatError
 
 
 def derivs(family: str, y, z, order: int):
@@ -447,3 +450,115 @@ def random_panel(rng, family: str, n, t, k, r):
             p = special.expit(z) if family == "logit" else stats.norm.cdf(z)
             y = (rng.uniform(size=(n, t)) < p).astype(float)
     return y, x, f, psi, beta, lam
+
+
+def read_panel_csv_rows(path):
+    """The row-by-row CSV reader: one ``float`` per field, one dict entry
+    per cell, then a Python loop that fills the arrays.  The package's
+    column-wise reader must return the same arrays bit for bit and raise
+    the same ``PanelFormatError`` text.
+
+    It is the package's former reader with two defects mended, as in the
+    package: a NaN or infinite field is a row error (it used to surface as
+    ``Panel``'s "non-finite cells" error), and periods that are all numbers
+    sort by value and then by label (``sorted(set, key=float)`` left equal
+    values such as ``1`` and ``01`` in hash order)."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise PanelFormatError(f"cannot read panel file: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PanelFormatError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if len(header) < 4 or header[0] != "id" or header[1] != "time" or header[2] != "y":
+            raise PanelFormatError(
+                f"{path}: header must be 'id,time,y,x1,...,xk', got {header!r}"
+            )
+        k = len(header) - 3
+        expected_x = [f"x{j}" for j in range(1, k + 1)]
+        if header[3:] != expected_x:
+            raise PanelFormatError(
+                f"{path}: covariate columns must be {expected_x}, got {header[3:]}"
+            )
+
+        unit_order: list[str] = []
+        unit_index: dict[str, int] = {}
+        times: set[str] = set()
+        cells: dict[tuple[str, str], tuple[float, list[float]]] = {}
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise PanelFormatError(
+                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
+                )
+            uid, tlabel = row[0].strip(), row[1].strip()
+            try:
+                vals = [float(c) for c in row[2:]]
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}: non-numeric field in row {row_no}: {row!r}"
+                ) from None
+            if any(math.isinf(v) or math.isnan(v) for v in vals):
+                raise PanelFormatError(f"{path}: non-finite field in row {row_no}: {row!r}")
+            key = (uid, tlabel)
+            if key in cells:
+                raise PanelFormatError(
+                    f"{path}: duplicate cell (id={uid}, time={tlabel}) at row {row_no}"
+                )
+            if uid not in unit_index:
+                unit_index[uid] = len(unit_order)
+                unit_order.append(uid)
+            times.add(tlabel)
+            cells[key] = (vals[0], vals[1:])
+
+    if not cells:
+        raise PanelFormatError(f"{path}: no data rows")
+
+    time_order = _sort_time_labels(times)
+    missing = [
+        (uid, tl) for uid in unit_order for tl in time_order if (uid, tl) not in cells
+    ]
+    if missing:
+        shown = ", ".join(f"({u},{t})" for u, t in missing[:10])
+        more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
+        raise PanelFormatError(f"{path}: unbalanced panel, missing cells {shown}{more}")
+
+    n, t = len(unit_order), len(time_order)
+    y = np.empty((n, t))
+    x = np.empty((n, t, k))
+    for i, uid in enumerate(unit_order):
+        for s, tl in enumerate(time_order):
+            yv, xv = cells[(uid, tl)]
+            y[i, s] = yv
+            x[i, s, :] = xv
+    return Panel(y, x)
+
+
+def _sort_time_labels(labels):
+    try:
+        values = {label: float(label) for label in labels}
+    except ValueError:
+        return sorted(labels)
+    if any(v != v for v in values.values()):  # NaN has no place in numeric order
+        return sorted(labels)
+    return sorted(labels, key=lambda label: (values[label], label))
+
+
+def write_panel_csv_rows(panel, path) -> None:
+    """The row-by-row CSV writer: one ``writerow`` per cell; the package's
+    block writer must produce the same bytes."""
+    k = panel.n_covariates
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "y"] + [f"x{j}" for j in range(1, k + 1)])
+        for i in range(panel.n_units):
+            for t in range(panel.n_periods):
+                # repr of a python float is the shortest exact round trip
+                row = [i + 1, t + 1, repr(float(panel.outcomes[i, t]))]
+                row += [repr(float(v)) for v in panel.covariates[i, t]]
+                writer.writerow(row)

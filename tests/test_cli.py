@@ -97,6 +97,15 @@ def test_estimate_unbalanced_is_input_error(tmp_path):
     assert main(["estimate", "--input", str(path), "--family", "logit"]) == 2
 
 
+def test_estimate_non_utf8_csv_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,time,y,x1\nM\xfcller,1,0,1\n".encode("latin-1"))
+    code = main(["estimate", "--input", str(path), "--family", "logit"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin1.csv: not UTF-8 text" in err and "0xfc" in err
+
+
 def test_poisson_on_sign_flipping_panel_is_numerical_error(tmp_path, capsys):
     # binary outcomes are valid poisson counts, but the index cannot be
     # made positive in every period: the error comes from the likelihood
