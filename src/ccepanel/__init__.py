@@ -24,12 +24,10 @@ from .exceptions import (
 )
 from .factors import (
     FactorEstimate,
-    cross_sectional_means,
     default_threshold,
     estimate_factors,
     estimate_rank_ratio,
     estimate_rank_threshold,
-    second_moment_matrix,
 )
 from .inference import (
     InferenceResult,
@@ -73,7 +71,6 @@ __all__ = [
     "confidence_interval",
     "correct_ape",
     "correct_beta",
-    "cross_sectional_means",
     "default_threshold",
     "estimate_factors",
     "estimate_rank_ratio",
@@ -86,7 +83,6 @@ __all__ = [
     "partial_effect",
     "read_panel_csv",
     "run_grid",
-    "second_moment_matrix",
     "spj",
     "spj_combine",
     "write_panel_csv",

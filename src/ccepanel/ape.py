@@ -44,7 +44,6 @@ class PolicyPair:
 @dataclass(frozen=True)
 class ApeEstimate:
     value: float
-    policy: PolicyPair
 
 
 def _policy_indices(family: Family, beta, c, policy: PolicyPair):
@@ -93,4 +92,4 @@ def ape_estimate(
     """
     c = fit.loadings @ factors.factors.T
     value = float(np.mean(partial_effect(family, fit.beta, c, policy)))
-    return ApeEstimate(value=value, policy=policy)
+    return ApeEstimate(value=value)

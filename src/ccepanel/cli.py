@@ -3,8 +3,8 @@
 Three subcommands: ``estimate`` runs the two-step estimator with optional
 bias correction and APE output on a long-format CSV panel; ``factors``
 reports the eigenvalue spectrum and rank estimates; ``simulate`` drives
-the Monte Carlo grid.  Exit codes: 0 success, 2 input error, 3 numerical
-or convergence error.
+the Monte Carlo grid.  Exit codes: 0 success, 2 input error (an
+unwritable output path included), 3 numerical or convergence error.
 """
 
 from __future__ import annotations
@@ -272,12 +272,14 @@ def run_simulate(args) -> dict:
         n_jobs=args.jobs,
         emit_dir=args.emit_csv,
     )
+    table_csv = table.to_csv()
     if args.table_csv:
-        table.to_csv(args.table_csv)
+        with open(args.table_csv, "w", encoding="utf-8") as fh:
+            fh.write(table_csv)
     return {
         "schema_version": SCHEMA_VERSION,
         "table_text": table.to_text(),
-        "table_csv": table.to_csv(),
+        "table_csv": table_csv,
     }
 
 
@@ -336,16 +338,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except InvalidInputError as exc:
+        if getattr(args, "json", None):
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+    # reads fail as PanelFormatError, so an OSError here is a failed write
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
     printer = getattr(args, "printer", None)
     if printer is not None:
         printer(report)

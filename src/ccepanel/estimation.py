@@ -116,7 +116,12 @@ def objective(panel: Panel, factors: FactorEstimate, family: Family, beta, loadi
 
 
 def _solve_neg_definite(h, rhs):
-    """Solve h a = rhs for (batched) negative-definite h, with ridge fallback."""
+    """Solve h a = rhs for (batched) negative-definite h, with ridge fallback.
+
+    Never raises: when even the ridged solve fails, the blocks it could not
+    solve come back NaN (all of them if it raises), and callers treat a NaN
+    direction as a failed Newton step.
+    """
     try:
         out = np.linalg.solve(h, rhs)
         if np.all(np.isfinite(out)):
@@ -127,10 +132,10 @@ def _solve_neg_definite(h, rhs):
     ridge = 1e-10 * (1.0 + diag)
     eye = np.eye(h.shape[-1])
     h_reg = h - (ridge[..., None, None] * eye if h.ndim == 3 else ridge * eye)
-    out = np.linalg.solve(h_reg, rhs)
-    if not np.all(np.isfinite(out)):
-        raise np.linalg.LinAlgError("non-finite newton direction")
-    return out
+    try:
+        return np.linalg.solve(h_reg, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(rhs), np.nan)
 
 
 def _loading_score(l1, f, lam, bound):
@@ -157,9 +162,9 @@ def _loading_hessian(l2, f, pinned):
 def _line_search(trial, obj, g, step, scale, halving_max):
     """Batched backtracking Armijo search, one row per subproblem.
 
-    Rows whose ``step`` is not an ascent direction for the score ``g``
-    search along ``g / scale``; rows without a positive slope even then
-    are not accepted.  ``trial(rows, step, alpha)`` gives those rows'
+    Rows whose ``step`` is not an ascent direction for the score ``g`` (a
+    NaN step included) search along ``g / scale``; rows without a positive
+    slope even then are not accepted.  ``trial(rows, step, alpha)`` gives those rows'
     objectives at ``alpha * step`` (-inf outside the domain); alpha halves
     from 1 until the sufficient-increase test passes up to rounding-level
     slack.  Returns steps, step sizes, objectives and accepted rows.
@@ -210,10 +215,7 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
         if act.size == 0:
             break
         ya, lama = y[act], lam[act]
-        try:
-            step = -_solve_neg_definite(_loading_hessian(l2, f, pinned), g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = g / t
+        step = -_solve_neg_definite(_loading_hessian(l2, f, pinned), g[:, :, None])[:, :, 0]
         big = np.abs(step).max(axis=1)
         over = big > _STEP_CAP
         if over.any():
@@ -249,10 +251,7 @@ def _pooled_beta(family: Family, y, x) -> np.ndarray:
         if np.max(np.abs(g)) / (n * t) <= 1e-6:
             break
         h = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
-        try:
-            step = -_solve_neg_definite(h, g)
-        except np.linalg.LinAlgError:
-            step = g / (n * t)
+        step = -_solve_neg_definite(h, g)
 
         def trial(rows, step, alpha):
             return _log_density_unchecked(family, y, x @ (beta + alpha * step[0])).sum()[None]
@@ -368,13 +367,12 @@ def fit_cce(
         if pinned.any():
             hbl = np.where(pinned[:, None, :], 0.0, hbl)
         hll = _loading_hessian(l2, f, pinned)
-        try:
-            t1 = _solve_neg_definite(hll, hbl.transpose(0, 2, 1))  # Hll^-1 Hlb
-            t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
-            schur = hb - np.einsum("nkr,nrl->kl", hbl, t1)
-            rhs = gb - np.einsum("nkr,nr->k", hbl, t2)
-            db = -_solve_neg_definite(schur, rhs)
-        except np.linalg.LinAlgError:
+        t1 = _solve_neg_definite(hll, hbl.transpose(0, 2, 1))  # Hll^-1 Hlb
+        t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
+        schur = hb - np.einsum("nkr,nrl->kl", hbl, t1)
+        rhs = gb - np.einsum("nkr,nr->k", hbl, t2)
+        db = -_solve_neg_definite(schur, rhs)
+        if not np.all(np.isfinite(db)):
             stop_reason = "singular_coefficient_system"
             break
 

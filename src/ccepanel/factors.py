@@ -29,47 +29,36 @@ class FactorEstimate:
         each column is positive.
     eigenvalues : ndarray, shape (k,)
         Full spectrum of the second-moment matrix, non-increasing.
-    second_moment : ndarray, shape (k, k)
-    r : int
     """
 
     factors: np.ndarray
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
-    second_moment: np.ndarray
-    r: int
 
     def __post_init__(self):
         f = np.asarray(self.factors, dtype=float)
         v = np.asarray(self.eigenvectors, dtype=float)
-        if f.ndim != 2 or v.ndim != 2 or f.shape[1] != self.r or v.shape[1] != self.r:
+        if f.ndim != 2 or v.ndim != 2 or f.shape[1] != v.shape[1]:
             raise InvalidInputError("factor estimate has inconsistent dimensions")
         object.__setattr__(self, "factors", f)
         object.__setattr__(self, "eigenvectors", v)
 
-
-def cross_sectional_means(panel: Panel) -> np.ndarray:
-    """T x k matrix whose row t averages the covariates over units."""
-    return panel.covariates.mean(axis=0)
-
-
-def second_moment_matrix(xbar: np.ndarray) -> np.ndarray:
-    """Raw second moment of the averages: mean over t of xbar_t xbar_t'."""
-    xbar = np.asarray(xbar, dtype=float)
-    if xbar.ndim != 2 or xbar.shape[0] < 1:
-        raise InvalidInputError("xbar must be a T x k matrix with T >= 1")
-    return xbar.T @ xbar / xbar.shape[0]
+    @property
+    def r(self) -> int:
+        """Number of factors."""
+        return self.factors.shape[1]
 
 
 def _spectrum(panel: Panel):
-    xbar = cross_sectional_means(panel)
-    sigma = second_moment_matrix(xbar)
+    """(xbar, eigenvalues non-increasing, eigenvectors) of the raw second
+    moment of the cross-sectional averages xbar (T x k)."""
+    xbar = panel.covariates.mean(axis=0)
     try:
-        eigvals, eigvecs = np.linalg.eigh(sigma)
+        eigvals, eigvecs = np.linalg.eigh(xbar.T @ xbar / xbar.shape[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(eigvals)[::-1]
-    return xbar, sigma, eigvals[order], eigvecs[:, order]
+    return xbar, eigvals[order], eigvecs[:, order]
 
 
 def estimate_factors(panel: Panel, r: int) -> FactorEstimate:
@@ -82,7 +71,7 @@ def estimate_factors(panel: Panel, r: int) -> FactorEstimate:
     k = panel.n_covariates
     if not 1 <= r <= k:
         raise InvalidInputError(f"need 1 <= r <= k, got r={r}, k={k}")
-    xbar, sigma, eigvals, eigvecs = _spectrum(panel)
+    xbar, eigvals, eigvecs = _spectrum(panel)
     if eigvals[0] <= 0.0:
         raise NumericalError(
             "covariate averages are degenerate (largest eigenvalue is not positive); "
@@ -93,13 +82,7 @@ def estimate_factors(panel: Panel, r: int) -> FactorEstimate:
         top = np.argmax(np.abs(psi[:, j]))
         if psi[top, j] < 0:
             psi[:, j] = -psi[:, j]
-    return FactorEstimate(
-        factors=xbar @ psi,
-        eigenvectors=psi,
-        eigenvalues=eigvals,
-        second_moment=sigma,
-        r=r,
-    )
+    return FactorEstimate(factors=xbar @ psi, eigenvectors=psi, eigenvalues=eigvals)
 
 
 def default_threshold(n_units: int, n_periods: int) -> float:
@@ -133,7 +116,7 @@ def rank_from_eigenvalue_ratios(eigenvalues: np.ndarray) -> int:
 
 def estimate_rank_threshold(panel: Panel, p_nt: float) -> int:
     """Threshold rank rule applied to the panel's eigenvalue spectrum."""
-    _, _, eigvals, _ = _spectrum(panel)
+    _, eigvals, _ = _spectrum(panel)
     return rank_from_eigenvalues(eigvals, p_nt)
 
 
@@ -141,5 +124,5 @@ def estimate_rank_ratio(panel: Panel) -> int:
     """Eigenvalue-ratio rank rule; undefined for k = 1."""
     if panel.n_covariates < 2:
         raise InvalidInputError("eigenvalue-ratio rank rule needs k >= 2")
-    _, _, eigvals, _ = _spectrum(panel)
+    _, eigvals, _ = _spectrum(panel)
     return rank_from_eigenvalue_ratios(eigvals)

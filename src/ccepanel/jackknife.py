@@ -27,14 +27,22 @@ from .panel import Panel
 
 @dataclass
 class SpjResult:
-    """Full, half-panel, and combined estimates, with convergence flags."""
+    """Full and half-panel estimates, and the names of the fits among them
+    that did not converge."""
 
     full: np.ndarray | float
     half_n: tuple
     half_t: tuple
-    corrected: np.ndarray | float
-    converged: bool
     failures: list = field(default_factory=list)
+
+    @property
+    def corrected(self) -> np.ndarray | float:
+        """The jackknife combination of the five estimates."""
+        return spj_combine(self.full, self.half_n, self.half_t)
+
+    @property
+    def converged(self) -> bool:
+        return not self.failures
 
 
 def spj_combine(full, half_n, half_t):
@@ -88,15 +96,7 @@ def spj(
     failures = [name for name, (_, fit) in zip(names, runs) if not fit.converged]
 
     def combine(stats):
-        half_n, half_t = (stats[1], stats[2]), (stats[3], stats[4])
-        return SpjResult(
-            full=stats[0],
-            half_n=half_n,
-            half_t=half_t,
-            corrected=spj_combine(stats[0], half_n, half_t),
-            converged=not failures,
-            failures=failures,
-        )
+        return SpjResult(stats[0], (stats[1], stats[2]), (stats[3], stats[4]), failures)
 
     beta = combine([fit.beta for _, fit in runs])
     if policy is None:

@@ -116,6 +116,8 @@ def _data_rows(path):
             header = next(reader)
         except StopIteration:
             raise PanelFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise PanelFormatError(f"{path}: row 1 cannot be read: {exc}") from None
         header = [h.strip() for h in header]
         if len(header) < 4 or header[0] != "id" or header[1] != "time" or header[2] != "y":
             raise PanelFormatError(
@@ -144,16 +146,21 @@ def _read_blocks(path):
     units, times = _Codes(), _Codes()
     unit_codes, time_codes, values = [], [], []
     with _data_rows(path) as (reader, k):
-        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            columns = _block_columns(block, k)
-            if columns is None:
-                columns = _block_columns([row for row in block if not _is_blank(row)], k)
+        try:
+            for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                columns = _block_columns(block, k)
                 if columns is None:
-                    return None
-            ids, labels, vals = columns
-            unit_codes.append(np.fromiter(map(units.__getitem__, map(str.strip, ids)), np.intp))
-            time_codes.append(np.fromiter(map(times.__getitem__, map(str.strip, labels)), np.intp))
-            values.append(vals)
+                    columns = _block_columns([row for row in block if not _is_blank(row)], k)
+                    if columns is None:
+                        return None
+                ids, labels, vals = columns
+                unit_codes.append(
+                    np.fromiter(map(units.__getitem__, map(str.strip, ids)), np.intp))
+                time_codes.append(
+                    np.fromiter(map(times.__getitem__, map(str.strip, labels)), np.intp))
+                values.append(vals)
+        except csv.Error:
+            return None  # a row the csv module cannot read (a field over its size limit)
     if not units:
         return None  # no data rows
     values = np.concatenate(values, axis=1)
@@ -191,6 +198,17 @@ def _is_blank(row) -> bool:
     return not row or all(not c.strip() for c in row)
 
 
+def _numbered_rows(path, reader):
+    """(row number, row) of each data row; a row the csv module cannot read
+    (a field over its size limit) raises an error naming that row."""
+    row_no = 1
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            yield row_no, row
+    except csv.Error as exc:
+        raise PanelFormatError(f"{path}: row {row_no + 1} cannot be read: {exc}") from None
+
+
 def _raise_first_fault(path):
     """Re-read ``path`` row by row and raise the error of its first fault in
     file order; reached only when ``_read_blocks`` met a fault."""
@@ -198,7 +216,7 @@ def _raise_first_fault(path):
         units: dict[str, None] = {}
         times: set[str] = set()
         cells: set[tuple[str, str]] = set()
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in _numbered_rows(path, reader):
             if _is_blank(row):
                 continue
             if len(row) != k + 3:

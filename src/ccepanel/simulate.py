@@ -33,6 +33,7 @@ TRUE_RANK = 2
 _FACTOR_CONST = np.array([0.3, 0.6])
 _FACTOR_AR = np.array([0.7, 0.4])
 _NOISE_AR = 0.6
+_BURN_IN = 100  # AR(1) periods drawn and discarded before the first kept one
 ESTIMATORS = ("raw", "abc", "spj")
 
 # Binary units whose outcomes never vary have divergent loadings; the
@@ -52,26 +53,24 @@ class DgpConfig:
     n_periods: int
     serial: bool = False
     seed: int = 0
-    burn_in: int = 100
 
     def __post_init__(self):
         if self.n_units < 4 or self.n_periods < 4:
             raise InvalidInputError("DGP needs N >= 4 and T >= 4")
-        if self.burn_in <= 0:
-            raise InvalidInputError("burn_in must be positive")
 
 
 @dataclass(frozen=True)
 class DgpDraw:
+    """One panel drawn at coefficients ``TRUE_BETA``."""
+
     panel: Panel
-    true_beta: np.ndarray
     true_index: np.ndarray  # interactive effects lambda'f, (N,T)
 
 
 def generate(config: DgpConfig) -> DgpDraw:
     """Draw one panel; deterministic given the seed."""
     rng = np.random.default_rng(config.seed)
-    n, t, burn = config.n_units, config.n_periods, config.burn_in
+    n, t, burn = config.n_units, config.n_periods, _BURN_IN
 
     shocks = rng.standard_normal((burn + t, 2))
     f_full = np.empty((burn + t, 2))
@@ -105,7 +104,7 @@ def generate(config: DgpConfig) -> DgpDraw:
     index = x @ TRUE_BETA + c0
     eps = rng.logistic(0.0, 1.0, size=(n, t))
     y = (index - eps >= 0.0).astype(float)
-    return DgpDraw(panel=Panel(y, x), true_beta=TRUE_BETA.copy(), true_index=c0)
+    return DgpDraw(panel=Panel(y, x), true_index=c0)
 
 
 def replication_seed(base_seed: int, n: int, t: int, serial: bool, rep: int) -> int:
@@ -129,7 +128,11 @@ class McCell:
     coverage95: float
     n_reps: int
     n_failed: int
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        """More than 5% of the requested replications failed."""
+        return self.n_failed > 0.05 * (self.n_reps + self.n_failed)
 
 
 @dataclass
@@ -147,7 +150,7 @@ class McTable:
                 return row
         raise KeyError(f"no cell ({n}, {t}, L={bandwidth}, {estimator})")
 
-    def to_csv(self, path=None) -> str | None:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
@@ -160,12 +163,7 @@ class McTable:
                  repr(float(r.bias)), repr(float(r.std_error)), repr(float(r.coverage95)),
                  r.n_reps, r.n_failed, int(r.flagged)]
             )
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return None
+        return buf.getvalue()
 
     def to_text(self) -> str:
         head = (
@@ -250,11 +248,11 @@ def run_grid(
     l_values : iterable of int
         HAC bandwidths; the same draws are reused across bandwidths.
     n_reps : int
-    estimators : subset of {"raw", "abc", "spj"}
+    estimators : non-empty subset of {"raw", "abc", "spj"}
     base_seed : int
     n_jobs : int
-        Worker processes; replication seeds make the output identical for
-        any value.
+        Worker processes, at least 1; replication seeds make the output
+        identical for any value.
     emit_dir : str, optional
         Directory receiving one long-format CSV per generated panel.
 
@@ -268,6 +266,10 @@ def run_grid(
     """
     if n_reps < 1:
         raise InvalidInputError("n_reps must be at least 1")
+    if n_jobs < 1:
+        raise InvalidInputError(f"n_jobs must be at least 1, got {n_jobs}")
+    if not estimators:
+        raise InvalidInputError("no estimators requested")
     bad = set(estimators) - set(ESTIMATORS)
     if bad:
         raise InvalidInputError(f"unknown estimators: {sorted(bad)}")
@@ -295,7 +297,6 @@ def run_grid(
                 errs = [err for err, _ in kept]
                 covers = [cover for _, cover in kept]
                 used = len(kept)
-                failed = n_reps - used
                 table.rows.append(
                     McCell(
                         n_units=n,
@@ -307,8 +308,7 @@ def run_grid(
                         std_error=float(np.std(errs, ddof=1)) if used > 1 else float("nan"),
                         coverage95=float(np.mean(covers)) if used else float("nan"),
                         n_reps=used,
-                        n_failed=failed,
-                        flagged=failed > 0.05 * n_reps,
+                        n_failed=n_reps - used,
                     )
                 )
     return table

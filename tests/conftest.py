@@ -22,8 +22,6 @@ def make_factor_estimate(f, k=None, psi=None):
         factors=f,
         eigenvectors=np.asarray(psi, dtype=float),
         eigenvalues=np.ones(k),
-        second_moment=np.eye(k),
-        r=r,
     )
 
 

@@ -458,11 +458,13 @@ def read_panel_csv_rows(path):
     column-wise reader must return the same arrays bit for bit and raise
     the same ``PanelFormatError`` text.
 
-    It is the package's former reader with two defects mended, as in the
+    It is the package's former reader with three defects mended, as in the
     package: a NaN or infinite field is a row error (it used to surface as
-    ``Panel``'s "non-finite cells" error), and periods that are all numbers
+    ``Panel``'s "non-finite cells" error), periods that are all numbers
     sort by value and then by label (``sorted(set, key=float)`` left equal
-    values such as ``1`` and ``01`` in hash order)."""
+    values such as ``1`` and ``01`` in hash order), and a row the csv
+    module cannot read (a field over its size limit) is a row error (it
+    used to escape as ``csv.Error``)."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -473,6 +475,8 @@ def read_panel_csv_rows(path):
             header = next(reader)
         except StopIteration:
             raise PanelFormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise PanelFormatError(f"{path}: row 1 cannot be read: {exc}") from None
         header = [h.strip() for h in header]
         if len(header) < 4 or header[0] != "id" or header[1] != "time" or header[2] != "y":
             raise PanelFormatError(
@@ -489,32 +493,36 @@ def read_panel_csv_rows(path):
         unit_index: dict[str, int] = {}
         times: set[str] = set()
         cells: dict[tuple[str, str], tuple[float, list[float]]] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise PanelFormatError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
-                )
-            uid, tlabel = row[0].strip(), row[1].strip()
-            try:
-                vals = [float(c) for c in row[2:]]
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: non-numeric field in row {row_no}: {row!r}"
-                ) from None
-            if any(math.isinf(v) or math.isnan(v) for v in vals):
-                raise PanelFormatError(f"{path}: non-finite field in row {row_no}: {row!r}")
-            key = (uid, tlabel)
-            if key in cells:
-                raise PanelFormatError(
-                    f"{path}: duplicate cell (id={uid}, time={tlabel}) at row {row_no}"
-                )
-            if uid not in unit_index:
-                unit_index[uid] = len(unit_order)
-                unit_order.append(uid)
-            times.add(tlabel)
-            cells[key] = (vals[0], vals[1:])
+        row_no = 1
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise PanelFormatError(
+                        f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
+                    )
+                uid, tlabel = row[0].strip(), row[1].strip()
+                try:
+                    vals = [float(c) for c in row[2:]]
+                except ValueError:
+                    raise PanelFormatError(
+                        f"{path}: non-numeric field in row {row_no}: {row!r}"
+                    ) from None
+                if any(math.isinf(v) or math.isnan(v) for v in vals):
+                    raise PanelFormatError(f"{path}: non-finite field in row {row_no}: {row!r}")
+                key = (uid, tlabel)
+                if key in cells:
+                    raise PanelFormatError(
+                        f"{path}: duplicate cell (id={uid}, time={tlabel}) at row {row_no}"
+                    )
+                if uid not in unit_index:
+                    unit_index[uid] = len(unit_order)
+                    unit_order.append(uid)
+                times.add(tlabel)
+                cells[key] = (vals[0], vals[1:])
+        except csv.Error as exc:
+            raise PanelFormatError(f"{path}: row {row_no + 1} cannot be read: {exc}") from None
 
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")

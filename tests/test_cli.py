@@ -187,19 +187,22 @@ def test_factors_command(sim_csv, tmp_path, capsys):
 def test_simulate_command(tmp_path, capsys):
     emit = tmp_path / "draws"
     table_csv = tmp_path / "table.csv"
+    report_json = tmp_path / "sim.json"
     code = main([
         "simulate", "--n", "40", "--t", "60", "--reps", "2", "--bandwidth", "0",
         "--estimators", "raw", "--seed", "11",
-        "--emit-csv", str(emit), "--table-csv", str(table_csv),
+        "--emit-csv", str(emit), "--table-csv", str(table_csv), "--json", str(report_json),
     ])
     assert code == 0
     assert "raw" in capsys.readouterr().out
+    table_text = table_csv.read_text()
+    assert table_text.startswith("n,t,serial,bandwidth,estimator")
+    assert table_text == json.loads(report_json.read_text())["table_csv"]
     panels = sorted(emit.glob("*.csv"))
     assert len(panels) == 2
     # emitted panels re-parse and re-estimate cleanly
     code = main(["estimate", "--input", str(panels[0]), "--family", "logit", "--rank", "2"])
     assert code == 0
-    assert table_csv.exists()
 
 
 def test_estimate_negative_bandwidth_is_input_error(sim_csv, tmp_path, capsys, monkeypatch):
@@ -254,7 +257,36 @@ def test_simulate_negative_bandwidth_is_input_error(capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
-def test_unknown_estimator_is_input_error():
-    assert main([
-        "simulate", "--n", "20", "--t", "20", "--reps", "1", "--estimators", "raw,bogus",
-    ]) == 2
+def test_unknown_estimator_is_input_error(capsys):
+    base = ["simulate", "--n", "20", "--t", "20", "--reps", "1"]
+    for flags, message in [
+        (["--estimators", "raw,bogus"], "unknown estimators"),
+        (["--estimators", ""], "no estimators"),
+        (["--jobs", "-3"], "n_jobs"),
+    ]:
+        assert main(base + flags) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["estimate --json", "factors --output",
+                                  "simulate --table-csv", "simulate --emit-csv"])
+def test_unwritable_output_is_input_error(flag, sim_csv, tmp_path, capsys):
+    command, option = flag.split()
+    target = str(tmp_path / "missing-dir" / "out")
+    if option == "--emit-csv":
+        target = sim_csv  # an existing file, not a directory
+    args = {
+        "estimate": ["--input", sim_csv, "--family", "logit", "--rank", "2"],
+        "factors": ["--input", sim_csv],
+        "simulate": ["--n", "20", "--t", "20", "--reps", "1", "--estimators", "raw"],
+    }[command]
+    assert main([command, *args, option, target]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_over_long_csv_field_is_input_error(tmp_path, capsys):
+    # a field over the csv module's 128 KiB limit is an error naming its row
+    path = tmp_path / "long.csv"
+    path.write_text("id,time,y,x1\n1,1,0,1\n1,2,0,1\n2,1,0,1\n2,2,0," + "1" * 200_000 + "\n")
+    assert main(["estimate", "--input", str(path), "--family", "logit"]) == 2
+    assert f"{path}: row 5 cannot be read" in capsys.readouterr().err

@@ -247,11 +247,12 @@ def test_fit_reports_a_failed_coefficient_line_search(rng):
 def test_fit_reports_a_singular_coefficient_system(rng, monkeypatch):
     # the ridge fallback of _solve_neg_definite solves every finite
     # negative semi-definite system, so only a non-finite curvature reaches
-    # this stop; stand in for that by failing every k x k solve (the pooled
-    # start then takes gradient steps, the batched loading solves run as is)
+    # this stop; stand in for that by a NaN direction from every k x k solve
+    # (the pooled start then takes gradient steps, the batched loading
+    # solves run as is)
     def failing_solve(h, rhs):
         if h.ndim == 2:
-            raise np.linalg.LinAlgError("singular")
+            return np.full(np.shape(rhs), np.nan)
         return _solve_neg_definite(h, rhs)
 
     monkeypatch.setattr("ccepanel.estimation._solve_neg_definite", failing_solve)
@@ -259,6 +260,18 @@ def test_fit_reports_a_singular_coefficient_system(rng, monkeypatch):
     fit = cp.fit_cce(panel, cp.estimate_factors(panel, 1), Family.LOGIT)
     assert fit.stop_reason == "singular_coefficient_system"
     assert not fit.converged and fit.iterations == 0
+
+
+def test_solve_neg_definite_gives_nan_rows_for_a_non_finite_block():
+    # a NaN curvature block has no Newton direction even after the ridge;
+    # its row comes back NaN (for the line search to replace by the scaled
+    # score) instead of raising, and the other blocks are still solved
+    h = np.array([-np.eye(2), -2.0 * np.eye(2), -np.eye(2)])
+    h[1, 0, 1] = np.nan
+    out = _solve_neg_definite(h, np.ones((3, 2, 1)))[:, :, 0]
+    assert np.isnan(out[1]).all()
+    assert np.isfinite(out[[0, 2]]).all()
+    assert_allclose(out[[0, 2]], -1.0, rtol=1e-9)
 
 
 def test_fit_options_validation():

@@ -17,50 +17,75 @@ def constant_covariate_panel(xbar):
     return cp.Panel(np.zeros((2, t)), x)
 
 
+def loop_means(x):
+    """T x k cross-sectional averages of an (N, T, k) array, by loops."""
+    n, t, k = x.shape
+    want = np.zeros((t, k))
+    for s in range(t):
+        for j in range(k):
+            want[s, j] = sum(x[i, s, j] for i in range(n)) / n
+    return want
+
+
+def loop_second_moment(xbar):
+    """Mean over t of the outer products xbar_t xbar_t', by a loop."""
+    t, k = xbar.shape
+    want = np.zeros((k, k))
+    for s in range(t):
+        want += np.outer(xbar[s], xbar[s]) / t
+    return want
+
+
+def full_rank_means(panel):
+    """The averages recovered from all k factors: factors @ eigenvectors'."""
+    fe = cp.estimate_factors(panel, panel.n_covariates)
+    return fe.factors @ fe.eigenvectors.T
+
+
+def full_rank_second_moment(panel):
+    """The second moment rebuilt from its full spectrum: V diag(lambda) V'."""
+    fe = cp.estimate_factors(panel, panel.n_covariates)
+    return fe.eigenvectors @ np.diag(fe.eigenvalues) @ fe.eigenvectors.T
+
+
 def test_cross_sectional_means_two_units():
     # mean of {3, 5} is 4 in every period
     x = np.zeros((2, 2, 1))
     x[0, :, 0] = 3.0
     x[1, :, 0] = 5.0
     panel = cp.Panel(np.zeros((2, 2)), x)
-    assert_allclose(cp.cross_sectional_means(panel), np.full((2, 1), 4.0))
+    assert_allclose(full_rank_means(panel), np.full((2, 1), 4.0))
 
 
 def test_cross_sectional_means_constant_panel():
     v = np.array([1.5, -2.0, 0.25])
     x = np.tile(v, (4, 5, 1))
     panel = cp.Panel(np.zeros((4, 5)), x)
-    assert_allclose(cp.cross_sectional_means(panel), np.tile(v, (5, 1)))
+    assert_allclose(full_rank_means(panel), np.tile(v, (5, 1)), atol=1e-12)
 
 
 def test_cross_sectional_means_matches_loops(rng):
     x = rng.standard_normal((3, 4, 2))
     panel = cp.Panel(rng.standard_normal((3, 4)), x)
-    want = np.zeros((4, 2))
-    for t in range(4):
-        for j in range(2):
-            want[t, j] = sum(x[i, t, j] for i in range(3)) / 3.0
-    assert_allclose(cp.cross_sectional_means(panel), want, atol=1e-12)
+    assert_allclose(full_rank_means(panel), loop_means(x), atol=1e-12)
 
 
 def test_second_moment_unit_vector_rows():
     xbar = np.tile(np.array([1.0, 0.0, 0.0]), (7, 1))
-    sigma = cp.second_moment_matrix(xbar)
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
-    assert_allclose(sigma, want)
+    assert_allclose(full_rank_second_moment(constant_covariate_panel(xbar)), want, atol=1e-12)
 
 
 def test_second_moment_scalar():
-    assert_allclose(cp.second_moment_matrix(np.array([[1.0], [3.0]])), [[5.0]])
+    panel = constant_covariate_panel(np.array([[1.0], [3.0]]))
+    assert_allclose(full_rank_second_moment(panel), [[5.0]])
 
 
 def test_second_moment_matches_loops(rng):
     xbar = rng.standard_normal((50, 3))
-    want = np.zeros((3, 3))
-    for t in range(50):
-        want += np.outer(xbar[t], xbar[t]) / 50.0
-    assert_allclose(cp.second_moment_matrix(xbar), want, atol=1e-12)
+    assert_allclose(full_rank_second_moment(constant_covariate_panel(xbar)),
+                    loop_second_moment(xbar), atol=1e-12)
 
 
 def test_estimate_factors_scalar_case(rng):
@@ -69,8 +94,7 @@ def test_estimate_factors_scalar_case(rng):
     fe = cp.estimate_factors(panel, 1)
     assert_allclose(abs(fe.eigenvectors[0, 0]), 1.0, atol=1e-12)
     assert fe.eigenvectors[0, 0] > 0
-    xbar = cp.cross_sectional_means(panel)
-    assert_allclose(fe.factors[:, 0], xbar[:, 0], atol=1e-12)
+    assert_allclose(fe.factors[:, 0], loop_means(x)[:, 0], atol=1e-12)
 
 
 def test_estimate_factors_recovers_factor_span(rng):
@@ -91,7 +115,7 @@ def test_estimate_factors_diagonal_second_moment():
     xbar = np.array([[s8, 0.0], [-s8, 0.0], [0.0, s2], [0.0, -s2]])
     panel = constant_covariate_panel(xbar)
     fe = cp.estimate_factors(panel, 1)
-    assert_allclose(fe.second_moment, np.diag([4.0, 1.0]), atol=1e-12)
+    assert_allclose(full_rank_second_moment(panel), np.diag([4.0, 1.0]), atol=1e-12)
     assert_allclose(fe.eigenvalues, [4.0, 1.0], atol=1e-12)
     assert_allclose(fe.eigenvectors[:, 0], [1.0, 0.0], atol=1e-12)
 
@@ -175,9 +199,11 @@ def test_reconstruction_identity(rng):
     x = rng.standard_normal((7, 15, 4)) + 0.3
     panel = cp.Panel(np.zeros((7, 15)), x)
     fe = cp.estimate_factors(panel, 2)
-    lhs = fe.second_moment @ fe.eigenvectors
+    sigma = loop_second_moment(loop_means(x))
+    lhs = sigma @ fe.eigenvectors
     rhs = fe.eigenvectors @ np.diag(fe.eigenvalues[:2])
     assert np.abs(lhs - rhs).max() < 1e-10
+    assert np.abs(full_rank_second_moment(panel) - sigma).max() < 1e-10
     # orthonormal columns
     assert_allclose(fe.eigenvectors.T @ fe.eigenvectors, np.eye(2), atol=1e-10)
     # eigenvalues sorted, PSD

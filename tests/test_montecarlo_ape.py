@@ -15,7 +15,7 @@ import pytest
 import ccepanel as cp
 from ccepanel import DgpConfig, FitOptions, PolicyPair
 from ccepanel.likelihood import Family
-from ccepanel.simulate import TRUE_RANK, replication_seed
+from ccepanel.simulate import TRUE_BETA, TRUE_RANK, replication_seed
 
 POLICY = PolicyPair(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
 OPTS = FitOptions(loading_bound=30.0)
@@ -27,7 +27,7 @@ def _ape_replications(n, t, reps, base_seed, with_spj=False):
         seed = replication_seed(base_seed, n, t, False, rep)
         draw = cp.generate(DgpConfig(n_units=n, n_periods=t, seed=seed))
         true_ape = float(np.mean(
-            cp.partial_effect(Family.LOGIT, draw.true_beta, draw.true_index, POLICY)
+            cp.partial_effect(Family.LOGIT, TRUE_BETA, draw.true_index, POLICY)
         ))
         fe = cp.estimate_factors(draw.panel, TRUE_RANK)
         fit = cp.fit_cce(draw.panel, fe, Family.LOGIT, OPTS)

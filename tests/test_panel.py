@@ -251,6 +251,26 @@ def test_read_panel_faults_past_the_first_block(tmp_path):
     _same_as_oracle(_write(tmp_path / "good.csv", ["id,time,y,x1"] + rows))
 
 
+def test_read_panel_names_a_row_over_the_csv_field_limit(tmp_path):
+    # 1,200 rows: the over-long field (file row 1,100) is in the second
+    # block; a duplicate in the first block comes first in file order
+    rows = _rows(3, 400)
+    rows[1098] = rows[1098].rsplit(",", 1)[0] + "," + "1" * 200_000
+    path = _write(tmp_path / "long.csv", ["id,time,y,x1"] + rows)
+    with pytest.raises(PanelFormatError, match="row 1100 cannot be read: field larger"):
+        cp.read_panel_csv(path)
+    _same_as_oracle(path)
+    rows[10] = rows[3]  # file row 12 repeats file row 5
+    path = _write(tmp_path / "dup.csv", ["id,time,y,x1"] + rows)
+    with pytest.raises(PanelFormatError, match=r"duplicate cell \(id=u0, time=4\) at row 12"):
+        cp.read_panel_csv(path)
+    _same_as_oracle(path)
+    path = _write(tmp_path / "header.csv", ["id,time,y,x1" + "1" * 200_000] + rows)
+    with pytest.raises(PanelFormatError, match="row 1 cannot be read"):
+        cp.read_panel_csv(path)
+    _same_as_oracle(path)
+
+
 # Field strings: valid in unusual spellings, invalid, and non-finite.  The
 # package converts a column at a time, the oracle a field at a time with
 # ``float``; both must accept exactly the same strings.

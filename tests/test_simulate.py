@@ -5,7 +5,7 @@ from scipy.special import expit
 
 import ccepanel as cp
 from ccepanel import DgpConfig, InvalidInputError
-from ccepanel.simulate import TRUE_BETA, replication_seed
+from ccepanel.simulate import TRUE_BETA, McCell, replication_seed
 
 
 def pooled_lag1_autocorr(series):
@@ -29,15 +29,13 @@ def test_generate_is_deterministic():
 def test_generate_config_validation():
     with pytest.raises(InvalidInputError):
         DgpConfig(n_units=3, n_periods=10)
-    with pytest.raises(InvalidInputError):
-        DgpConfig(n_units=10, n_periods=10, burn_in=0)
 
 
 def test_outcomes_are_binary_and_shapes():
     draw = cp.generate(DgpConfig(n_units=30, n_periods=25, seed=5))
     assert set(np.unique(draw.panel.outcomes)) <= {0.0, 1.0}
     assert draw.panel.covariates.shape == (30, 25, 4)
-    assert_allclose(draw.true_beta, np.ones(4))
+    assert_allclose(TRUE_BETA, np.ones(4))
 
 
 def test_iid_noise_has_no_serial_correlation():
@@ -106,9 +104,13 @@ def test_run_grid_validates_inputs():
                     estimators=("raw", "magic"))
     with pytest.raises(InvalidInputError, match="bandwidth"):
         cp.run_grid(sizes=[(10, 10)], serial=False, l_values=[1, -1], n_reps=1)
+    with pytest.raises(InvalidInputError, match="n_jobs"):
+        cp.run_grid(sizes=[(10, 10)], serial=False, l_values=[0], n_reps=1, n_jobs=-3)
+    with pytest.raises(InvalidInputError, match="no estimators"):
+        cp.run_grid(sizes=[(10, 10)], serial=False, l_values=[0], n_reps=1, estimators=())
 
 
-def test_mctable_csv_round_trip(tmp_path):
+def test_mctable_csv_round_trip():
     table = cp.run_grid(
         sizes=[(36, 24)], serial=False, l_values=[0, 1], n_reps=2,
         estimators=("raw",), base_seed=9,
@@ -116,10 +118,16 @@ def test_mctable_csv_round_trip(tmp_path):
     text = table.to_csv()
     assert text.splitlines()[0].startswith("n,t,serial,bandwidth,estimator")
     assert len(text.splitlines()) == 1 + len(table.rows)
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    assert path.read_text() == text
     assert "raw" in table.to_text()
+
+
+def test_cell_is_flagged_above_five_percent_failed():
+    # 1 of 20 requested replications failed is 5%, not above it
+    cell = McCell(20, 20, False, 0, "raw", 0.0, 0.0, 1.0, n_reps=19, n_failed=1)
+    assert not cell.flagged
+    cell.n_reps, cell.n_failed = 18, 2
+    assert cell.flagged
+    assert cp.McTable([cell]).to_csv().splitlines()[1].endswith(",18,2,1")
 
 
 def test_spj_records_satisfy_combination_identity():
