@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ape import ApeEstimate, PolicyPair, policy_grid
-from .estimation import CceFit
+from .estimation import CceFit, _einsum
 from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
 from .likelihood import Family, _index_derivatives, validate_outcomes
@@ -180,14 +180,14 @@ def compute_beta_bias(
 
     l1, l2, l3 = _index_derivatives(family, y, z, 3)
 
-    a_i = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True) / t
+    a_i = _einsum("nt,tr,ts->nrs", l2, f, f) / t
     _condition_check(a_i, "per-unit information block in the factor directions")
-    b_i = np.einsum("nt,ntk,tr->nkr", l2, x, f, optimize=True) / t
+    b_i = _einsum("nt,ntk,tr->nkr", l2, x, f) / t
     a_inv = np.linalg.inv(a_i)
     ba_inv = np.einsum("nkr,nrs->nks", b_i, a_inv)
     xdot = x - np.einsum("nks,ts->ntk", ba_inv, f)
 
-    delta = np.einsum("nt,ntk,ntl->kl", l2, xdot, xdot, optimize=True) / (n * t)
+    delta = _einsum("nt,ntk,ntl->kl", l2, xdot, xdot) / (n * t)
     _condition_check(delta, "curvature matrix of the concentrated objective")
 
     # per-unit least squares of the covariates on the factors
@@ -198,12 +198,12 @@ def compute_beta_bias(
         raise NumericalError(f"factor gram matrix is singular: {exc}") from exc
     e_hat = x - np.einsum("nkr,tr->ntk", gi_t.transpose(0, 2, 1), f)
 
-    c_t = np.einsum("nt,ntk,nr->tkr", l2, xdot, lam, optimize=True) / n
-    d_tj = np.einsum("nt,nr,njq->tjrq", l2, lam, ba_inv, optimize=True) / n
-    g_tj = np.einsum("nt,ntj,nr,nq->tjrq", l3, xdot, lam, lam, optimize=True) / n
+    c_t = _einsum("nt,ntk,nr->tkr", l2, xdot, lam) / n
+    d_tj = _einsum("nt,nr,njq->tjrq", l2, lam, ba_inv) / n
+    g_tj = _einsum("nt,ntj,nr,nq->tjrq", l3, xdot, lam, lam) / n
 
-    m_i = np.einsum("nrs,nsu,nuq->nrq", a_inv, -a_i, a_inv, optimize=True)
-    quad = np.einsum("tr,nrq,tq->nt", f, m_i, f, optimize=True)
+    m_i = _einsum("nrs,nsu,nuq->nrq", a_inv, -a_i, a_inv)
+    quad = _einsum("tr,nrq,tq->nt", f, m_i, f)
     b1 = -0.5 * np.einsum("nt,ntk->k", l3 * quad, xdot) / (n * t)
 
     # sum over t, s of k((t-s)/L) l2_it l1_is xdot_it f_t' A_i^{-1} f_s
@@ -216,8 +216,8 @@ def compute_beta_bias(
     d1 = -np.einsum("nt,ntk->k", l2 * e_load, xdot) / (n * t)
 
     e_rot = np.einsum("rk,ntk->ntr", upsilon, e_hat)
-    p_t = np.einsum("ntr,ntq->trq", e_rot, e_rot, optimize=True)
-    d2 = np.einsum("trq,tjrq->j", p_t, d_tj - 0.5 * g_tj, optimize=True) / (n * t)
+    p_t = _einsum("ntr,ntq->trq", e_rot, e_rot)
+    d2 = _einsum("trq,tjrq->j", p_t, d_tj - 0.5 * g_tj) / (n * t)
 
     # score in the projected-out regressor directions plus the
     # factor-estimation-error channel through the covariate idiosyncrasies
@@ -266,7 +266,7 @@ def compute_ape_bias(
     proj_if = np.einsum("nr,tr->nt", u, f)
 
     l1, l2, l3 = beta_bias.l1, beta_bias.l2, beta_bias.l3
-    r_t = np.einsum("nt,nr,nq->trq", l2, lam, u, optimize=True) / n
+    r_t = _einsum("nt,nr,nq->trq", l2, lam, u) / n
     # Both pieces of the curvature bracket are second-order Taylor terms and
     # carry 1/2: the direct curvature of the partial effect in the
     # interactive effect, and the loading-bias response through the third
@@ -274,7 +274,7 @@ def compute_ape_bias(
     # simulated panels with known factors; without the 1/2 on the first
     # term the correction overshoots by the full curvature piece.)
     curv = 0.5 * d_cc - 0.5 * l3 * proj_if
-    w_t = np.einsum("nt,nr,nq->trq", curv, lam, lam, optimize=True) / n
+    w_t = _einsum("nt,nr,nq->trq", curv, lam, lam) / n
 
     b3 = float(np.sum(curv * beta_bias.quad_AQA)) / (n * t)
 

@@ -31,7 +31,7 @@ from .likelihood import Family
 from .panel import Panel, read_panel_csv
 from .simulate import run_grid
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -169,6 +169,8 @@ def run_estimate(args) -> dict:
             "grad_norm": fit.grad_norm,
             "loglik": fit.loglik,
             "bound_hits": fit.bound_hits,
+            "loading_rounds": fit.loading_rounds.tolist(),
+            "stalled": fit.stalled,
         },
         "correction": args.correction,
         "bandwidth": args.bandwidth,

@@ -20,6 +20,7 @@ Units with a loading at the bound are counted in ``bound_hits``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .likelihood import (
     Family,
     _index_derivatives,
     _log_density_unchecked,
+    _reads_log_density,
     log_density,
     validate_outcomes,
 )
@@ -42,6 +44,7 @@ _STEP_CAP = 16.0  # max loading move per inner iteration, per coordinate
 # tests allow rounding-level slack instead of rejecting the step.
 _EPS_SLACK = 64.0 * np.finfo(float).eps
 _HALVING_MAX = 50  # step halvings per line search
+_EINSUM_PATHS = 1024  # contraction paths kept, one per (subscripts, operand shapes)
 
 
 @dataclass
@@ -74,7 +77,9 @@ class CceFit:
     ``stop_reason`` says why the outer iteration ended: ``"converged"``,
     ``"max_iterations"``, ``"singular_coefficient_system"`` (the
     coefficient Newton system could not be solved) or
-    ``"coefficient_line_search_failed"``.
+    ``"coefficient_line_search_failed"``.  ``loading_rounds`` holds the
+    inner Newton rounds of each loading solve, one per outer iteration, and
+    ``stalled`` the number of unit line searches that failed in them.
     """
 
     beta: np.ndarray
@@ -86,6 +91,8 @@ class CceFit:
     stop_reason: str
     bound_hits: int = 0
     objective_path: np.ndarray = field(default_factory=lambda: np.empty(0))
+    loading_rounds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    stalled: int = 0
 
     @property
     def converged(self) -> bool:
@@ -115,27 +122,56 @@ def objective(panel: Panel, factors: FactorEstimate, family: Family, beta, loadi
     return float(log_density(family, panel.outcomes, z).mean())
 
 
+@functools.lru_cache(maxsize=_EINSUM_PATHS)
+def _einsum_path(subscripts, shapes):
+    operands = (np.broadcast_to(0.0, shape) for shape in shapes)
+    return np.einsum_path(subscripts, *operands, optimize=True)[0]
+
+
+def _einsum(subscripts, *operands):
+    """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit, with
+    the contraction path planned once per (subscripts, operand shapes): the
+    greedy search reads nothing else."""
+    shapes = tuple(np.shape(a) for a in operands)
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, shapes))
+
+
+def _solve_blocks(h, rhs):
+    """``np.linalg.solve``; if a batch holds a singular block, block by block,
+    with NaN for the blocks that stay singular."""
+    try:
+        return np.linalg.solve(h, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(np.shape(rhs), np.nan)
+        if h.ndim == 3:
+            for i in range(len(h)):
+                try:
+                    out[i] = np.linalg.solve(h[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass
+        return out
+
+
+def _ridged(h):
+    diag = np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1)
+    return h - (1e-10 * (1.0 + diag))[..., None, None] * np.eye(h.shape[-1])
+
+
 def _solve_neg_definite(h, rhs):
     """Solve h a = rhs for (batched) negative-definite h, with ridge fallback.
 
-    Never raises: when even the ridged solve fails, the blocks it could not
-    solve come back NaN (all of them if it raises), and callers treat a NaN
-    direction as a failed Newton step.
+    Only the blocks whose solve fails or comes back non-finite are solved
+    again, with a small ridge; the others keep their first solution.  Never
+    raises: blocks the ridge cannot solve either come back NaN, and callers
+    treat a NaN direction as a failed Newton step.
     """
-    try:
-        out = np.linalg.solve(h, rhs)
-        if np.all(np.isfinite(out)):
-            return out
-    except np.linalg.LinAlgError:
-        pass
-    diag = np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1)
-    ridge = 1e-10 * (1.0 + diag)
-    eye = np.eye(h.shape[-1])
-    h_reg = h - (ridge[..., None, None] * eye if h.ndim == 3 else ridge * eye)
-    try:
-        return np.linalg.solve(h_reg, rhs)
-    except np.linalg.LinAlgError:
-        return np.full(np.shape(rhs), np.nan)
+    out = _solve_blocks(h, rhs)
+    if h.ndim == 2:
+        return out if np.all(np.isfinite(out)) else _solve_blocks(_ridged(h), rhs)
+    bad = ~np.isfinite(out).reshape(len(out), -1).all(axis=1)
+    if bad.any():
+        out[bad] = _solve_blocks(_ridged(h[bad]), rhs[bad])
+    return out
 
 
 def _loading_score(l1, f, lam, bound):
@@ -151,7 +187,7 @@ def _loading_score(l1, f, lam, bound):
 def _loading_hessian(l2, f, pinned):
     """Per-unit curvature sum_t l2 f_t f_t'; pinned rows and columns are zero
     with -1 on the diagonal, so Newton solves leave those coordinates put."""
-    h = np.einsum("nt,tr,ts->nrs", l2, f, f, optimize=True)
+    h = _einsum("nt,tr,ts->nrs", l2, f, f)
     if pinned.any():
         h[pinned[:, :, None] | pinned[:, None, :]] = 0.0
         unit, coord = np.nonzero(pinned)
@@ -194,12 +230,26 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
     ``z_base`` is the covariate part of the index.  Units whose projected
     score meets the tolerance leave the active set, so late iterations
     only touch the stragglers (separated units crawling to the bound).
+
+    Each cell's log density, l_1 and l_2 are evaluated once per point.  For
+    a family whose derivatives read the log density (probit), the line
+    search keeps the densities of the points it accepts (``ld``, one row
+    per active unit) for the next round; for the others keeping them would
+    only cost a copy per trial.  A unit's l_1 and l_2 rows are stored when
+    it leaves the active set, at the point it stops at; if ``inner_max``
+    ends the loop right after accepted steps, only those units' rows are
+    evaluated again.
     Returns updated loadings, the per-cell index, per-unit objective sums,
-    and the number of units whose line search stalled.
+    l_1 and l_2 at that index, the number of unit line searches that
+    failed, and the number of rounds.
     """
     n, t = y.shape
     z = z_base + lam @ f.T
-    obj = _log_density_unchecked(family, y, z).sum(axis=1)
+    ld = _log_density_unchecked(family, y, z)
+    obj = ld.sum(axis=1)
+    keep_ld = _reads_log_density(family)
+    ld = ld if keep_ld else None
+    l1_out, l2_out = np.empty((n, t)), np.empty((n, t))
     n_stalled = 0
     act = np.arange(n)
     rounds = 0
@@ -208,10 +258,12 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
         if act.size == 0:
             break
         rounds += 1
-        l1, l2 = _index_derivatives(family, y[act], z[act], 2)
+        l1, l2 = _index_derivatives(family, y[act], z[act], 2, ld)
         g, pinned = _loading_score(l1, f, lam[act], bound)
         live = np.abs(g).max(axis=1) / t > tol
-        act, g, pinned, l2 = act[live], g[live], pinned[live], l2[live]
+        l1_out[act[~live]], l2_out[act[~live]] = l1[~live], l2[~live]
+        rows_live = np.flatnonzero(live)
+        act, g, pinned, l2 = act[rows_live], g[rows_live], pinned[rows_live], l2[rows_live]
         if act.size == 0:
             break
         ya, lama = y[act], lam[act]
@@ -221,20 +273,31 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
         if over.any():
             step[over] *= (_STEP_CAP / big[over])[:, None]
 
-        lam_c, z_c = np.empty_like(lama), np.empty((act.size, t))
+        lam_c = np.empty_like(lama)
+        z_c = np.empty((act.size, t))
+        ld = np.empty((act.size, t)) if keep_ld else None
 
         def trial(rows, step, alpha):
             lam_c[rows] = np.clip(lama[rows] + alpha[:, None] * step, -bound, bound)
             z_c[rows] = z_base[act[rows]] + lam_c[rows] @ f.T
-            return _log_density_unchecked(family, ya[rows], z_c[rows]).sum(axis=1)
+            d = _log_density_unchecked(family, ya[rows], z_c[rows])
+            if keep_ld:
+                ld[rows] = d
+            return d.sum(axis=1)
 
         _, _, obj[act], ok = _line_search(trial, obj[act], g, step, t, _HALVING_MAX)
         lam[act[ok]] = lam_c[ok]
         z[act[ok]] = z_c[ok]
-        n_stalled += int((~ok).sum())
-        act = act[ok]
+        if not ok.all():
+            stalled = ~ok
+            l1_out[act[stalled]] = l1[rows_live[stalled]]
+            l2_out[act[stalled]] = l2[stalled]
+            n_stalled += int(stalled.sum())
+            act, ld = act[ok], ld[ok] if keep_ld else None
 
-    return lam, z, obj, n_stalled, rounds
+    if act.size:
+        l1_out[act], l2_out[act] = _index_derivatives(family, y[act], z[act], 2, ld)
+    return lam, z, obj, l1_out, l2_out, n_stalled, rounds
 
 
 def _pooled_beta(family: Family, y, x) -> np.ndarray:
@@ -244,17 +307,21 @@ def _pooled_beta(family: Family, y, x) -> np.ndarray:
         return np.linalg.lstsq(x.reshape(n * t, k), y.reshape(n * t), rcond=None)[0]
     beta = np.zeros(k)
     z = x @ beta
-    obj = float(_log_density_unchecked(family, y, z).sum())
+    ld = ld_c = _log_density_unchecked(family, y, z)
+    obj = float(ld.sum())
     for _ in range(50):
-        l1, l2 = _index_derivatives(family, y, z, 2)
+        l1, l2 = _index_derivatives(family, y, z, 2, ld)
         g = np.einsum("nt,ntk->k", l1, x)
         if np.max(np.abs(g)) / (n * t) <= 1e-6:
             break
-        h = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
+        h = _einsum("nt,ntk,ntl->kl", l2, x, x)
         step = -_solve_neg_definite(h, g)
 
         def trial(rows, step, alpha):
-            return _log_density_unchecked(family, y, x @ (beta + alpha * step[0])).sum()[None]
+            # the last trial is the accepted one, at the index x @ beta below
+            nonlocal ld_c
+            ld_c = _log_density_unchecked(family, y, x @ (beta + alpha * step[0]))
+            return ld_c.sum()[None]
 
         step, alpha, obj_c, ok = _line_search(
             trial, np.array([obj]), g[None], step[None], n * t, _HALVING_MAX
@@ -262,7 +329,7 @@ def _pooled_beta(family: Family, y, x) -> np.ndarray:
         if not ok[0]:
             break
         beta = beta + alpha[0] * step[0]
-        z, obj = x @ beta, float(obj_c[0])
+        z, obj, ld = x @ beta, float(obj_c[0]), ld_c
     return beta
 
 
@@ -344,16 +411,18 @@ def fit_cce(
         raise InitializationError(f"{family.value} start is infeasible (non-finite objective)")
     stop_reason = "max_iterations"
     grad_norm = np.inf
-    iterations = 0
+    iterations = stalled = 0
+    loading_rounds = []
 
     for _ in range(opts.max_iterations):
-        lam, z, obj_units, _, _ = _solve_loadings(
+        lam, z, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
             family, y, z_base, f, lam, bound, tol, inner_max=50
         )
+        stalled += n_stalled
+        loading_rounds.append(rounds)
         obj = float(obj_units.sum())
         path.append(obj / (n * t))
 
-        l1, l2 = _index_derivatives(family, y, z, 2)
         gb = np.einsum("nt,ntk->k", l1, x)
         gl, pinned = _loading_score(l1, f, lam, bound)
         grad_norm = max(float(np.abs(gb).max()) / (n * t), float(np.abs(gl).max()) / t)
@@ -362,8 +431,8 @@ def fit_cce(
             break
 
         # profile Newton step for the coefficients, pinned loadings held fixed
-        hb = np.einsum("nt,ntk,ntl->kl", l2, x, x, optimize=True)
-        hbl = np.einsum("nt,ntk,tr->nkr", l2, x, f, optimize=True)
+        hb = _einsum("nt,ntk,ntl->kl", l2, x, x)
+        hbl = _einsum("nt,ntk,tr->nkr", l2, x, f)
         if pinned.any():
             hbl = np.where(pinned[:, None, :], 0.0, hbl)
         hll = _loading_hessian(l2, f, pinned)
@@ -403,5 +472,7 @@ def fit_cce(
         stop_reason=stop_reason,
         bound_hits=bound_hits,
         objective_path=np.asarray(path),
+        loading_rounds=np.asarray(loading_rounds, dtype=int),
+        stalled=stalled,
     )
 

@@ -121,13 +121,16 @@ def _logistic_curve(z):
     yield g * u ** 2 - 2.0 * g * g
 
 
-def _logphi_ladder(z):
+def _logphi_ladder(z, log_cdf=None):
     """Yield the derivatives of log Phi at z through the hazard h = phi / Phi.
 
     h satisfies h' = -z h - h^2, so higher orders follow by recursion; the
-    log-CDF is evaluated with log_ndtr so the tails (|z| > 6) stay accurate.
+    log-CDF is evaluated with log_ndtr so the tails (|z| > 6) stay accurate,
+    unless the caller passes log_ndtr(z) as ``log_cdf``.
     """
-    h = np.exp(_norm_logpdf(z) - special.log_ndtr(z))
+    if log_cdf is None:
+        log_cdf = special.log_ndtr(z)
+    h = np.exp(_norm_logpdf(z) - log_cdf)
     yield h
     d2 = -h * (z + h)
     yield d2
@@ -137,8 +140,12 @@ def _logphi_ladder(z):
     yield -2.0 * d2 - 2.0 * d2 * d2 - zh * d3
 
 
-def _index_ladder(family: Family, y, z):
-    """Yield l_1, l_2, l_3, l_4: the derivatives of log L(y, z) in z."""
+def _index_ladder(family: Family, y, z, log_density=None):
+    """Yield l_1, l_2, l_3, l_4: the derivatives of log L(y, z) in z.
+
+    ``log_density``, if given, is ``_log_density_unchecked(family, y, z)``;
+    the probit ladder takes its hazard from it (it is log Phi(s z) itself).
+    """
     if family is Family.LOGIT:
         # l = y z - log(1 + e^z): l_1 = y - G, then l_(j+1) = -G^(j)
         curve = _logistic_curve(z)
@@ -148,7 +155,7 @@ def _index_ladder(family: Family, y, z):
     elif family is Family.PROBIT:
         # l(y, z) = log Phi(s z) with s = 2y - 1, so l_j = s^j psi_j(s z)
         s = _outcome_sign(y)
-        for j, d in enumerate(_logphi_ladder(s * z), start=1):
+        for j, d in enumerate(_logphi_ladder(s * z, log_density), start=1):
             yield s * d if j % 2 else d
     elif family is Family.POISSON:
         yield y / z - 1.0
@@ -163,13 +170,20 @@ def _index_ladder(family: Family, y, z):
         yield np.zeros(shape)
 
 
-def _index_derivatives(family: Family, y, z, order: int) -> tuple:
+def _reads_log_density(family: Family) -> bool:
+    """Whether ``_index_derivatives`` reads a ``log_density`` it is given."""
+    return family is Family.PROBIT
+
+
+def _index_derivatives(family: Family, y, z, order: int, log_density=None) -> tuple:
     """(l_1, ..., l_order) at one index, for float arrays in the domain.
 
     Outcomes are not checked here: a binary y outside {0, 1} would give
-    wrong numbers silently, so callers validate them first.
+    wrong numbers silently, so callers validate them first.  A caller that
+    holds the log density at (y, z) passes it as ``log_density``; the values
+    are the same bits, and probit saves its one log-CDF per cell.
     """
-    return tuple(itertools.islice(_index_ladder(family, y, z), order))
+    return tuple(itertools.islice(_index_ladder(family, y, z, log_density), order))
 
 
 # --------------------------------------------------------------------- #

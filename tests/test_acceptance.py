@@ -34,6 +34,9 @@ N_REPS = 500 if FULL else 200
 TOL_BIAS = 0.015 if FULL else 0.02
 TOL_SD = 0.01
 TOL_COVER = 0.04 if FULL else 0.06
+# the grids run on every usable CPU: replication seeds make the table the
+# same for any number of workers
+N_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # benchmark values: (N, T) -> estimator -> (bias, sd, coverage)
 IID_TARGETS = {
@@ -77,7 +80,7 @@ def _check_cells(table, targets, bandwidth, label):
 def test_criterion_1_benchmark_iid_block():
     table = cp.run_grid(
         sizes=list(IID_TARGETS), serial=False, l_values=[0], n_reps=N_REPS,
-        estimators=("raw", "abc", "spj"), base_seed=BASE_SEED, n_jobs=1,
+        estimators=("raw", "abc", "spj"), base_seed=BASE_SEED, n_jobs=N_JOBS,
     )
     ok, detail = _check_cells(table, IID_TARGETS, 0, "iid")
     _report("criterion 1: benchmark iid block", ok, "\n    " + detail)
@@ -87,7 +90,7 @@ def test_criterion_1_benchmark_iid_block():
 def test_criterion_2_benchmark_serial_block():
     table = cp.run_grid(
         sizes=list(SERIAL_TARGETS), serial=True, l_values=[1], n_reps=500,
-        estimators=("raw", "abc", "spj"), base_seed=BASE_SEED, n_jobs=1,
+        estimators=("raw", "abc", "spj"), base_seed=BASE_SEED, n_jobs=N_JOBS,
     )
     ok, detail = _check_cells(table, SERIAL_TARGETS, 1, "serial")
     _report("criterion 2: benchmark serial block (L=1)", ok, "\n    " + detail)

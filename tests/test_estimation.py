@@ -1,20 +1,26 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 import ccepanel as cp
+import ccepanel.estimation as est
 from ccepanel import FitOptions, InitializationError, InvalidInputError
 from ccepanel.estimation import (
+    _einsum,
     _line_search,
     _loading_hessian,
     _loading_score,
     _solve_loadings,
     _solve_neg_definite,
 )
-from ccepanel.likelihood import Family
+from ccepanel.likelihood import Family, _index_derivatives
 from conftest import logit_test_panel, make_factor_estimate
 
 import oracles as orc
@@ -262,16 +268,45 @@ def test_fit_reports_a_singular_coefficient_system(rng, monkeypatch):
     assert not fit.converged and fit.iterations == 0
 
 
-def test_solve_neg_definite_gives_nan_rows_for_a_non_finite_block():
+def _neg_definite_blocks(rng, n, r):
+    a = rng.standard_normal((n, r, r))
+    return -(a @ a.transpose(0, 2, 1) + np.eye(r))
+
+
+def test_solve_neg_definite_gives_nan_rows_for_a_non_finite_block(rng):
     # a NaN curvature block has no Newton direction even after the ridge;
     # its row comes back NaN (for the line search to replace by the scaled
-    # score) instead of raising, and the other blocks are still solved
-    h = np.array([-np.eye(2), -2.0 * np.eye(2), -np.eye(2)])
+    # score) instead of raising, and the other blocks keep their exact
+    # first solution: the ridge touches the failed block only
+    h = _neg_definite_blocks(rng, 3, 2)
     h[1, 0, 1] = np.nan
-    out = _solve_neg_definite(h, np.ones((3, 2, 1)))[:, :, 0]
+    rhs = rng.standard_normal((3, 2, 1))
+    out = _solve_neg_definite(h, rhs)
     assert np.isnan(out[1]).all()
-    assert np.isfinite(out[[0, 2]]).all()
-    assert_allclose(out[[0, 2]], -1.0, rtol=1e-9)
+    assert np.array_equal(out[[0, 2]], np.linalg.solve(h[[0, 2]], rhs[[0, 2]]))
+
+
+def test_solve_neg_definite_ridges_only_a_singular_block(rng):
+    # an exactly singular block makes the batched solve raise; the failed
+    # block is found by solving each on its own, and only it is ridged
+    h = _neg_definite_blocks(rng, 4, 3)
+    h[2] = 0.0
+    rhs = rng.standard_normal((4, 3, 1))
+    out = _solve_neg_definite(h, rhs)
+    healthy = [0, 1, 3]
+    assert np.array_equal(out[healthy], np.linalg.solve(h[healthy], rhs[healthy]))
+    assert_allclose(out[2], -1e10 * rhs[2], rtol=1e-12)  # ridge 1e-10 on a zero block
+
+
+def test_fit_reports_loading_rounds_and_stalls(rng):
+    panel = logit_test_panel(rng)
+    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 1), Family.LOGIT)
+    assert fit.converged
+    # one loading solve per outer iteration, and one more that met the tolerance
+    assert fit.loading_rounds.dtype.kind == "i"
+    assert fit.loading_rounds.shape == (fit.iterations + 1,)
+    assert fit.loading_rounds[0] >= 1 and np.all(fit.loading_rounds >= 0)
+    assert isinstance(fit.stalled, int) and fit.stalled >= 0
 
 
 def test_fit_options_validation():
@@ -360,6 +395,76 @@ def test_loading_score_pins_only_outward_coordinates_at_the_bound(rng):
 TOL = FitOptions().grad_tolerance
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("inner_max", [1, 50])
+@pytest.mark.parametrize("stall", [False, True], ids=["no_stall", "stalling"])
+def test_solve_loadings_returns_the_derivatives_at_its_index(family, inner_max, stall,
+                                                             monkeypatch):
+    # the coefficient step reads l_1 and l_2 from the loading loop instead
+    # of evaluating them again; they must be those of the returned index,
+    # bit for bit, including the rows of units still active when inner_max
+    # ends the loop (inner_max = 1), of units that left early, and of units
+    # whose line search failed (forced here by a trial objective of -inf
+    # for every third unit of a round)
+    if stall:
+        line_search = est._line_search
+
+        def stalling(trial, *args):
+            def failing(rows, step, alpha):
+                return np.where(rows % 3 == 0, -np.inf, trial(rows, step, alpha))
+            return line_search(failing, *args)
+
+        monkeypatch.setattr(est, "_line_search", stalling)
+    rng = np.random.default_rng(5)
+    y, x, f, _, beta, lam = orc.random_panel(rng, family.value, 40, 12, 2, 2)
+    if family is not Family.POISSON:
+        lam = np.zeros_like(lam)  # poisson keeps its positive index
+    out = _solve_loadings(family, y, x @ beta, f, lam.copy(), 3.0, TOL, inner_max=inner_max)
+    lam_out, z, obj, l1, l2, n_stalled, rounds = out
+    assert rounds <= inner_max and (n_stalled > 0 or not stall)
+    assert_allclose(z, x @ beta + lam_out @ f.T, rtol=1e-12)
+    want = _index_derivatives(family, y, z, 2)
+    assert np.array_equal(l1, want[0]) and np.array_equal(l2, want[1])
+    assert np.array_equal(obj, cp.log_density(family, y, z).sum(axis=1))
+
+
+_EINSUM_SOURCES = [(Path(cp.__file__).parent / name).read_text(encoding="utf-8")
+                   for name in ("estimation.py", "bias.py")]
+EINSUM_SUBSCRIPTS = sorted({s for text in _EINSUM_SOURCES
+                            for s in re.findall(r'_einsum\(\s*"([^"]+)"', text)})
+# axis size of each label: n units, t periods, (k, l, j) covariates, (r, s, q, u) factors
+_EINSUM_AXES = {"n": "n", "t": "t", "k": "k", "l": "k", "j": "k",
+                "r": "r", "s": "r", "q": "r", "u": "r"}
+
+
+def test_every_optimized_einsum_goes_through_the_path_cache():
+    assert not [line for text in _EINSUM_SOURCES for line in text.splitlines()
+                if re.search(r'np\.einsum\("[^"]*".*optimize=True', line)]
+    assert len(EINSUM_SUBSCRIPTS) >= 10
+    assert {"nt,tr,ts->nrs", "nt,ntk,ntl->kl", "nt,ntk,tr->nkr"} <= set(EINSUM_SUBSCRIPTS)
+
+
+@pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_einsum_with_a_cached_path_is_optimized_einsum_bit_for_bit(subscripts, data):
+    # numpy orders an intermediate's axes by size, so the summation order
+    # depends on whether N < T, N = T or N > T; all three are drawn
+    n = data.draw(st.integers(1, 40), label="n")
+    t = data.draw(st.sampled_from([
+        st.integers(n + 1, 60), st.just(n), st.integers(1, max(n - 1, 1))
+    ]).flatmap(lambda s: s), label="t")
+    k = data.draw(st.integers(1, 5), label="k")
+    r = data.draw(st.integers(1, 3), label="r")
+    size = {"n": n, "t": t, "k": k, "r": r}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    operands = [rng.standard_normal([size[_EINSUM_AXES[c]] for c in term])
+                for term in subscripts.split("->")[0].split(",")]
+    want = np.einsum(subscripts, *operands, optimize=True)
+    for _ in range(2):  # a planned path, then the cached one
+        assert np.array_equal(_einsum(subscripts, *operands), want)
+
+
 def _solve_unit_loading(family, y, x, f, beta, bound=1e3, inner_max=200):
     """One unit's loading solve at fixed beta, as a 1 x T panel, from zero.
 
@@ -367,7 +472,7 @@ def _solve_unit_loading(family, y, x, f, beta, bound=1e3, inner_max=200):
     """
     t, r = f.shape
     y = np.asarray(y, dtype=float)[None, :]
-    lam, z, _, _, _ = _solve_loadings(
+    lam, z, _, _, _, _, _ = _solve_loadings(
         family, y, (x @ beta)[None, :], f, np.zeros((1, r)), bound, TOL,
         inner_max=inner_max,
     )

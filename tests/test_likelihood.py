@@ -240,6 +240,38 @@ def test_binary_fold_stays_finite_where_the_two_branch_form_does_not():
 
 
 # --------------------------------------------------------------------- #
+# the probit hazard read from the log density the caller already holds is
+# the same bits as the one the ladder evaluates itself
+# --------------------------------------------------------------------- #
+
+
+def _assert_hazard_reuse_is_exact(y, z):
+    plain = _index_derivatives(Family.PROBIT, y, z, 4)
+    reused = _index_derivatives(
+        Family.PROBIT, y, z, 4, log_density=log_density(Family.PROBIT, y, z)
+    )
+    for got, want in zip(reused, plain):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_probit_hazard_from_the_log_density_is_exact_in_the_tails():
+    # past |z| = 38 the hazard at y = 0, z > 0 (and y = 1, z < 0) underflows
+    tails = np.array([-1e4, -300.0, -60.0, -40.0, -38.5, -38.0, -37.5, 37.5, 38.0,
+                      38.5, 40.0, 60.0, 300.0, 1e4])
+    yy, zz = np.meshgrid([0.0, 1.0], np.concatenate([_SIGN_GRID, tails]))
+    _assert_hazard_reuse_is_exact(yy, zz)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_probit_hazard_from_the_log_density_is_exact_on_drawn_arrays(data):
+    z = data.draw(_draw_z)
+    y = data.draw(hnp.arrays(np.float64, z.shape, elements=st.sampled_from([0.0, 1.0])))
+    _assert_hazard_reuse_is_exact(y, z)
+
+
+# --------------------------------------------------------------------- #
 # statistical identities
 # --------------------------------------------------------------------- #
 
