@@ -31,7 +31,7 @@ from .likelihood import Family
 from .panel import Panel, read_panel_csv
 from .simulate import run_grid
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -171,6 +171,7 @@ def run_estimate(args) -> dict:
             "bound_hits": fit.bound_hits,
             "loading_rounds": fit.loading_rounds.tolist(),
             "stalled": fit.stalled,
+            "coefficient_trials": fit.coefficient_trials,
         },
         "correction": args.correction,
         "bandwidth": args.bandwidth,

@@ -73,13 +73,17 @@ class CceFit:
     read-back.  ``grad_norm`` is the sup-norm of the scaled score blocks
     (coefficients scaled by 1/(NT), each unit's loading block by 1/T),
     projected at active loading bounds.  ``objective_path`` records the
-    average log likelihood after every accepted update phase.
+    average log likelihood at the start and after every accepted update
+    phase; a coefficient-step entry is the objective at the index the next
+    loading solve starts from.
     ``stop_reason`` says why the outer iteration ended: ``"converged"``,
     ``"max_iterations"``, ``"singular_coefficient_system"`` (the
     coefficient Newton system could not be solved) or
     ``"coefficient_line_search_failed"``.  ``loading_rounds`` holds the
     inner Newton rounds of each loading solve, one per outer iteration, and
     ``stalled`` the number of unit line searches that failed in them.
+    ``coefficient_trials`` counts the trials of the coefficient line
+    searches, each one full-panel log-density evaluation.
     """
 
     beta: np.ndarray
@@ -93,6 +97,7 @@ class CceFit:
     objective_path: np.ndarray = field(default_factory=lambda: np.empty(0))
     loading_rounds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     stalled: int = 0
+    coefficient_trials: int = 0
 
     @property
     def converged(self) -> bool:
@@ -224,10 +229,13 @@ def _line_search(trial, obj, g, step, scale, halving_max):
     return step, alpha, obj, (slope > 0) & ~pending
 
 
-def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
+def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, entry=None):
     """Batched per-unit Newton for the loading subproblems at fixed beta.
 
-    ``z_base`` is the covariate part of the index.  Units whose projected
+    ``z_base`` is the covariate part of the index.  ``entry``, when the
+    caller has already evaluated the start, is ``(z, ld)``: the index
+    ``z_base + lam @ f.T`` and its log densities (``z`` is updated in
+    place); without it both are evaluated here.  Units whose projected
     score meets the tolerance leave the active set, so late iterations
     only touch the stragglers (separated units crawling to the bound).
 
@@ -244,8 +252,11 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
     failed, and the number of rounds.
     """
     n, t = y.shape
-    z = z_base + lam @ f.T
-    ld = _log_density_unchecked(family, y, z)
+    if entry is None:
+        z = z_base + lam @ f.T
+        ld = _log_density_unchecked(family, y, z)
+    else:
+        z, ld = entry
     obj = ld.sum(axis=1)
     keep_ld = _reads_log_density(family)
     ld = ld if keep_ld else None
@@ -300,13 +311,16 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max):
     return lam, z, obj, l1_out, l2_out, n_stalled, rounds
 
 
-def _pooled_beta(family: Family, y, x) -> np.ndarray:
-    """Coefficients from a no-loading pooled fit (deterministic warm start)."""
+def _pooled_beta(family: Family, y, x):
+    """Coefficients from a no-loading pooled fit (deterministic warm start),
+    with the index ``x @ beta`` and its log densities."""
     n, t, k = x.shape
     if family is Family.GAUSSIAN:
-        return np.linalg.lstsq(x.reshape(n * t, k), y.reshape(n * t), rcond=None)[0]
+        beta = np.linalg.lstsq(x.reshape(n * t, k), y.reshape(n * t), rcond=None)[0]
+        z = x @ beta
+        return beta, z, _log_density_unchecked(family, y, z)
     beta = np.zeros(k)
-    z = x @ beta
+    z = z_c = x @ beta
     ld = ld_c = _log_density_unchecked(family, y, z)
     obj = float(ld.sum())
     for _ in range(50):
@@ -319,8 +333,9 @@ def _pooled_beta(family: Family, y, x) -> np.ndarray:
 
         def trial(rows, step, alpha):
             # the last trial is the accepted one, at the index x @ beta below
-            nonlocal ld_c
-            ld_c = _log_density_unchecked(family, y, x @ (beta + alpha * step[0]))
+            nonlocal z_c, ld_c
+            z_c = x @ (beta + alpha * step[0])
+            ld_c = _log_density_unchecked(family, y, z_c)
             return ld_c.sum()[None]
 
         step, alpha, obj_c, ok = _line_search(
@@ -329,8 +344,8 @@ def _pooled_beta(family: Family, y, x) -> np.ndarray:
         if not ok[0]:
             break
         beta = beta + alpha[0] * step[0]
-        z, obj, ld = x @ beta, float(obj_c[0]), ld_c
-    return beta
+        z, obj, ld = z_c, float(obj_c[0]), ld_c
+    return beta, z, ld
 
 
 def _poisson_feasible_loadings(y, f, margin):
@@ -398,25 +413,31 @@ def fit_cce(
     bound = opts.loading_bound
     tol = opts.grad_tolerance
     if family is Family.POISSON:
-        beta = np.zeros(k)
+        beta, ld = np.zeros(k), None
         margin = 1e-2 * (1.0 + float(y.mean()))
         lam = np.clip(_poisson_feasible_loadings(y, f, margin), -bound, bound)
+        z_base = x @ beta
     else:
-        beta = _pooled_beta(family, y, x)
+        # at zero loadings the index is the pooled one, where ld was evaluated
+        beta, z_base, ld = _pooled_beta(family, y, x)
         lam = np.zeros((n, r))
 
-    z_base = x @ beta
-    path = [float(_log_density_unchecked(family, y, z_base + lam @ f.T).mean())]
+    # every loading solve starts from the densities its caller evaluated:
+    # these, then those of the accepted coefficient trial
+    z = z_base + lam @ f.T
+    if ld is None:
+        ld = _log_density_unchecked(family, y, z)
+    path = [float(ld.mean())]
     if not np.isfinite(path[0]):
         raise InitializationError(f"{family.value} start is infeasible (non-finite objective)")
     stop_reason = "max_iterations"
     grad_norm = np.inf
-    iterations = stalled = 0
+    iterations = stalled = coefficient_trials = 0
     loading_rounds = []
 
     for _ in range(opts.max_iterations):
-        lam, z, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
-            family, y, z_base, f, lam, bound, tol, inner_max=50
+        lam, _, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
+            family, y, z_base, f, lam, bound, tol, inner_max=50, entry=(z, ld)
         )
         stalled += n_stalled
         loading_rounds.append(rounds)
@@ -445,9 +466,20 @@ def fit_cce(
             stop_reason = "singular_coefficient_system"
             break
 
+        # the trial index is summed as the next loading solve would sum it
+        # at entry, so the accepted (last) trial hands over its densities
+        lam_f, x_step = lam @ f.T, None
+        z_base_c = z_c = ld_c = None
+
         def trial(rows, step, alpha):
-            z_c = z + alpha[0] * (x @ step[0])
-            return np.array([_log_density_unchecked(family, y, z_c).sum()])
+            nonlocal x_step, z_base_c, z_c, ld_c, coefficient_trials
+            if x_step is None:  # the search direction is fixed within a search
+                x_step = x @ step[0]
+            z_base_c = z_base + alpha[0] * x_step
+            z_c = z_base_c + lam_f
+            ld_c = _log_density_unchecked(family, y, z_c)
+            coefficient_trials += 1
+            return ld_c.sum()[None]
 
         db, alpha, obj_c, ok = _line_search(
             trial, np.array([obj]), gb[None], db[None], n * t, _HALVING_MAX
@@ -456,7 +488,7 @@ def fit_cce(
             stop_reason = "coefficient_line_search_failed"
             break
         beta = beta + alpha[0] * db[0]
-        z_base = z_base + alpha[0] * (x @ db[0])
+        z_base, z, ld = z_base_c, z_c, ld_c
         iterations += 1
         path.append(float(obj_c[0]) / (n * t))
 
@@ -474,5 +506,6 @@ def fit_cce(
         objective_path=np.asarray(path),
         loading_rounds=np.asarray(loading_rounds, dtype=int),
         stalled=stalled,
+        coefficient_trials=coefficient_trials,
     )
 

@@ -28,7 +28,7 @@ def test_estimate_end_to_end(sim_csv, tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["rank"]["used"] == 2  # threshold rule finds both factors
     beta = np.array(report["beta"]["corrected"])
     # within 4 Monte Carlo standard deviations of the unit coefficients
@@ -71,6 +71,7 @@ def test_estimate_analytical_matches_library_pipeline(sim_csv, tmp_path):
     assert report["rank"]["used"] == r
     assert report["fit"]["loading_rounds"] == fit.loading_rounds.tolist()
     assert report["fit"]["stalled"] == fit.stalled
+    assert report["fit"]["coefficient_trials"] == fit.coefficient_trials
     assert report["beta"]["raw"] == list(fit.beta)
     assert report["beta"]["corrected"] == list(beta_abc)
     assert report["beta"]["std_errors"] == list(inference.std_errors)

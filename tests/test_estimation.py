@@ -428,6 +428,81 @@ def test_solve_loadings_returns_the_derivatives_at_its_index(family, inner_max, 
     assert np.array_equal(obj, cp.log_density(family, y, z).sum(axis=1))
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("inner_max", [1, 50])
+def test_solve_loadings_from_handed_over_entry_densities_is_bit_identical(family, inner_max):
+    rng = np.random.default_rng(6)
+    y, x, f, _, beta, lam = orc.random_panel(rng, family.value, 40, 12, 2, 2)
+    z_base = x @ beta
+    z = z_base + lam @ f.T
+    entry = (z.copy(), est._log_density_unchecked(family, y, z))
+    fresh = _solve_loadings(family, y, z_base, f, lam.copy(), 3.0, TOL, inner_max)
+    handed = _solve_loadings(family, y, z_base, f, lam.copy(), 3.0, TOL, inner_max, entry)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, handed))
+
+
+def _record_fit(monkeypatch, family, panel, fe):
+    """Fit with spies on the loading solves and the coefficient line searches.
+
+    Returns the fit, the index each loading solve starts from (evaluated as
+    ``z_base + lam @ f.T`` from its arguments), the index of each accepted
+    coefficient trial, and the number of full-panel log-density calls made
+    inside a loading solve before its first line search (its entry)."""
+    solve, search, density = est._solve_loadings, est._line_search, est._log_density_unchecked
+    entries, accepted, last_z = [], [], []
+    state = {"loadings": False, "entry": False, "entry_calls": 0}
+
+    def spy_density(family, y, z):
+        last_z[:] = [z.copy()]
+        if state["entry"]:
+            state["entry_calls"] += 1
+        return density(family, y, z)
+
+    def spy_solve(family, y, z_base, f, lam, *args, **kwargs):
+        entries.append(z_base + lam @ f.T)
+        state.update(loadings=True, entry=True)
+        try:
+            return solve(family, y, z_base, f, lam, *args, **kwargs)
+        finally:
+            state.update(loadings=False, entry=False)
+
+    def spy_search(*args):
+        state["entry"] = False
+        out = search(*args)
+        if entries and not state["loadings"] and out[3][0]:
+            accepted.append(last_z[0])
+        return out
+
+    monkeypatch.setattr(est, "_solve_loadings", spy_solve)
+    monkeypatch.setattr(est, "_line_search", spy_search)
+    monkeypatch.setattr(est, "_log_density_unchecked", spy_density)
+    fit = cp.fit_cce(panel, fe, family)
+    return fit, entries, accepted, state["entry_calls"]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_accepted_coefficient_trial_is_the_next_loading_entry(family, monkeypatch):
+    # the accepted trial hands its densities over, so its index must be the
+    # one the next loading solve would evaluate at entry, bit for bit
+    rng = np.random.default_rng(11)
+    y, x, f, psi, _, _ = orc.random_panel(rng, family.value, 40, 30, 2, 1)
+    fit, entries, accepted, _ = _record_fit(
+        monkeypatch, family, cp.Panel(y, x), make_factor_estimate(f, psi=psi))
+    assert fit.converged and fit.iterations >= 1
+    assert len(entries) == fit.iterations + 1 and len(accepted) == fit.iterations
+    assert fit.coefficient_trials >= fit.iterations
+    for trial_z, entry_z in zip(accepted, entries[1:]):
+        assert np.array_equal(trial_z, entry_z)
+
+
+def test_logit_fit_evaluates_no_density_at_loading_entry(monkeypatch):
+    panel = logit_test_panel(np.random.default_rng(12))
+    fit, entries, _, entry_calls = _record_fit(
+        monkeypatch, Family.LOGIT, panel, cp.estimate_factors(panel, 1))
+    assert fit.converged and len(entries) == fit.iterations + 1
+    assert entry_calls == 0
+
+
 _EINSUM_SOURCES = [(Path(cp.__file__).parent / name).read_text(encoding="utf-8")
                    for name in ("estimation.py", "bias.py")]
 EINSUM_SUBSCRIPTS = sorted({s for text in _EINSUM_SOURCES

@@ -49,16 +49,22 @@ def _ape_replications(n, t, reps, base_seed, with_spj=False):
         }
         if with_spj:
             _, spj = cp.spj(draw.panel, Family.LOGIT, TRUE_RANK, OPTS, POLICY, full=(fe, fit))
-            if not spj.converged:
-                continue
-            row["spj"] = spj.corrected - true_ape
+            row["spj"] = spj.corrected - true_ape if spj.converged else None
         rows.append(row)
     return rows
 
 
+@pytest.fixture(scope="module")
+def rows_100x100():
+    """The 200 replications (100x100, seed 424242) that the analytical and
+    the SPJ test share, fitted once; ``spj`` is None where an SPJ fit did
+    not converge."""
+    return _ape_replications(100, 100, 200, base_seed=424242, with_spj=True)
+
+
 @pytest.mark.slow
-def test_analytical_ape_correction_tracks_truth():
-    rows = _ape_replications(100, 100, 200, base_seed=424242)
+def test_analytical_ape_correction_tracks_truth(rows_100x100):
+    rows = rows_100x100
     assert len(rows) >= 190
     raw = np.array([r["raw"] for r in rows])
     abc = np.array([r["abc"] for r in rows])
@@ -77,8 +83,8 @@ def test_ape_interval_coverage_near_nominal():
 
 
 @pytest.mark.slow
-def test_spj_ape_tracks_truth():
-    rows = _ape_replications(100, 100, 200, base_seed=424242, with_spj=True)
+def test_spj_ape_tracks_truth(rows_100x100):
+    rows = [r for r in rows_100x100 if r["spj"] is not None]
     assert len(rows) >= 185
     raw = np.array([r["raw"] for r in rows])
     spj = np.array([r["spj"] for r in rows])
