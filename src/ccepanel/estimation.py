@@ -78,8 +78,10 @@ class CceFit:
     loading solve starts from.
     ``stop_reason`` says why the outer iteration ended: ``"converged"``,
     ``"max_iterations"``, ``"singular_coefficient_system"`` (the
-    coefficient Newton system could not be solved) or
-    ``"coefficient_line_search_failed"``.  ``loading_rounds`` holds the
+    coefficient Newton system could not be solved),
+    ``"coefficient_line_search_failed"`` or ``"no_progress"`` (an outer
+    iteration, a coefficient step and the loading solve after it, left the
+    objective where it was).  ``loading_rounds`` holds the
     inner Newton rounds of each loading solve, one per outer iteration, and
     ``stalled`` the number of unit line searches that failed in them.
     ``coefficient_trials`` counts the trials of the coefficient line
@@ -229,13 +231,12 @@ def _line_search(trial, obj, g, step, scale, halving_max):
     return step, alpha, obj, (slope > 0) & ~pending
 
 
-def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, entry=None):
+def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol, inner_max):
     """Batched per-unit Newton for the loading subproblems at fixed beta.
 
-    ``z_base`` is the covariate part of the index.  ``entry``, when the
-    caller has already evaluated the start, is ``(z, ld)``: the index
-    ``z_base + lam @ f.T`` and its log densities (``z`` is updated in
-    place); without it both are evaluated here.  Units whose projected
+    ``z_base`` is the covariate part of the index, ``z`` the start index
+    ``z_base + lam @ f.T`` (updated in place) and ``ld`` its log densities,
+    which the caller has already evaluated.  Units whose projected
     score meets the tolerance leave the active set, so late iterations
     only touch the stragglers (separated units crawling to the bound).
 
@@ -252,11 +253,6 @@ def _solve_loadings(family, y, z_base, f, lam, bound, tol, inner_max, entry=None
     failed, and the number of rounds.
     """
     n, t = y.shape
-    if entry is None:
-        z = z_base + lam @ f.T
-        ld = _log_density_unchecked(family, y, z)
-    else:
-        z, ld = entry
     obj = ld.sum(axis=1)
     keep_ld = _reads_log_density(family)
     ld = ld if keep_ld else None
@@ -396,7 +392,8 @@ def fit_cce(
     CceFit
         With ``converged=False`` (never an exception) and the cause in
         ``stop_reason`` when the iteration cap is reached, the coefficient
-        system is singular or the coefficient line search fails.
+        system is singular, the coefficient line search fails or an outer
+        iteration gains nothing.
     """
     opts = opts or FitOptions()
     y = panel.outcomes
@@ -412,21 +409,20 @@ def fit_cce(
 
     bound = opts.loading_bound
     tol = opts.grad_tolerance
+    # every loading solve starts from densities evaluated here: those of
+    # the start, then those of the accepted coefficient trial
     if family is Family.POISSON:
-        beta, ld = np.zeros(k), None
+        beta = np.zeros(k)
         margin = 1e-2 * (1.0 + float(y.mean()))
         lam = np.clip(_poisson_feasible_loadings(y, f, margin), -bound, bound)
         z_base = x @ beta
+        z = z_base + lam @ f.T
+        ld = _log_density_unchecked(family, y, z)
     else:
         # at zero loadings the index is the pooled one, where ld was evaluated
         beta, z_base, ld = _pooled_beta(family, y, x)
         lam = np.zeros((n, r))
-
-    # every loading solve starts from the densities its caller evaluated:
-    # these, then those of the accepted coefficient trial
-    z = z_base + lam @ f.T
-    if ld is None:
-        ld = _log_density_unchecked(family, y, z)
+        z = z_base + lam @ f.T
     path = [float(ld.mean())]
     if not np.isfinite(path[0]):
         raise InitializationError(f"{family.value} start is infeasible (non-finite objective)")
@@ -434,10 +430,11 @@ def fit_cce(
     grad_norm = np.inf
     iterations = stalled = coefficient_trials = 0
     loading_rounds = []
+    obj_last = -np.inf
 
     for _ in range(opts.max_iterations):
         lam, _, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
-            family, y, z_base, f, lam, bound, tol, inner_max=50, entry=(z, ld)
+            family, y, z_base, z, ld, f, lam, bound, tol, inner_max=50
         )
         stalled += n_stalled
         loading_rounds.append(rounds)
@@ -450,6 +447,13 @@ def fit_cce(
         if grad_norm <= tol:
             stop_reason = "converged"
             break
+        # the last coefficient step and this loading solve gained nothing, as
+        # at a Poisson MLE on the domain edge, where further iterations take
+        # steps of rounding size at dozens of line-search trials each
+        if obj <= obj_last:
+            stop_reason = "no_progress"
+            break
+        obj_last = obj
 
         # profile Newton step for the coefficients, pinned loadings held fixed
         hb = _einsum("nt,ntk,ntl->kl", l2, x, x)
