@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ape import ApeEstimate, PolicyPair, policy_grid
-from .estimation import CceFit, _einsum
+from .estimation import CceFit, _loading_hessian, _row_outer, _sum_outer, _sum_weighted
 from .exceptions import InvalidInputError, NumericalError
 from .factors import FactorEstimate
 from .likelihood import Family, _index_derivatives, validate_outcomes
@@ -180,14 +180,14 @@ def compute_beta_bias(
 
     l1, l2, l3 = _index_derivatives(family, y, z, 3)
 
-    a_i = _einsum("nt,tr,ts->nrs", l2, f, f) / t
+    a_i = _loading_hessian(l2, f) / t
     _condition_check(a_i, "per-unit information block in the factor directions")
-    b_i = _einsum("nt,ntk,tr->nkr", l2, x, f) / t
     a_inv = np.linalg.inv(a_i)
-    ba_inv = np.einsum("nkr,nrs->nks", b_i, a_inv)
-    xdot = x - np.einsum("nks,ts->ntk", ba_inv, f)
+    ba_inv = (x * l2[..., None]).transpose(0, 2, 1) @ f / t @ a_inv  # B_i A_i^-1
+    xdot = x - f @ ba_inv.transpose(0, 2, 1)
 
-    delta = _einsum("nt,ntk,ntl->kl", l2, xdot, xdot) / (n * t)
+    xdot_w = xdot * l2[..., None]
+    delta = _sum_outer(xdot_w, xdot) / (n * t)
     _condition_check(delta, "curvature matrix of the concentrated objective")
 
     # per-unit least squares of the covariates on the factors
@@ -198,13 +198,14 @@ def compute_beta_bias(
         raise NumericalError(f"factor gram matrix is singular: {exc}") from exc
     e_hat = x - np.einsum("nkr,tr->ntk", gi_t.transpose(0, 2, 1), f)
 
-    c_t = _einsum("nt,ntk,nr->tkr", l2, xdot, lam) / n
-    d_tj = _einsum("nt,nr,njq->tjrq", l2, lam, ba_inv) / n
-    g_tj = _einsum("nt,ntj,nr,nq->tjrq", l3, xdot, lam, lam) / n
+    c_t = _sum_outer(xdot_w.reshape(n, t * k), lam).reshape(t, k, r) / n
+    lam_ba = (ba_inv[:, :, None, :] * lam[:, None, :, None]).reshape(n, k * r * r)
+    d_tj = _sum_outer(l2, lam_ba).reshape(t, k, r, r) / n
+    xdot_l3 = (xdot * l3[..., None]).reshape(n, t * k)
+    g_tj = _sum_outer(xdot_l3, _row_outer(lam, lam)).reshape(t, k, r, r) / n
 
-    m_i = _einsum("nrs,nsu,nuq->nrq", a_inv, -a_i, a_inv)
-    quad = _einsum("tr,nrq,tq->nt", f, m_i, f)
-    b1 = -0.5 * np.einsum("nt,ntk->k", l3 * quad, xdot) / (n * t)
+    quad = (a_inv @ -a_i @ a_inv).reshape(n, r * r) @ _row_outer(f, f).T
+    b1 = -0.5 * _sum_weighted(l3 * quad, xdot) / (n * t)
 
     # sum over t, s of k((t-s)/L) l2_it l1_is xdot_it f_t' A_i^{-1} f_s
     l2xf = (l2[..., None, None] * xdot[..., None] * f[:, None, :]).reshape(n, t, k * r)
@@ -213,11 +214,11 @@ def compute_beta_bias(
 
     upsilon = factors.eigenvectors.T  # (r,k)
     e_load = np.einsum("ntk,nk->nt", e_hat, lam @ upsilon)
-    d1 = -np.einsum("nt,ntk->k", l2 * e_load, xdot) / (n * t)
+    d1 = -_sum_weighted(l2 * e_load, xdot) / (n * t)
 
     e_rot = np.einsum("rk,ntk->ntr", upsilon, e_hat)
-    p_t = _einsum("ntr,ntq->trq", e_rot, e_rot)
-    d2 = _einsum("trq,tjrq->j", p_t, d_tj - 0.5 * g_tj) / (n * t)
+    p_t = e_rot.transpose(1, 2, 0) @ e_rot.transpose(1, 0, 2)
+    d2 = _sum_weighted(p_t, (d_tj - 0.5 * g_tj).transpose(0, 2, 3, 1)) / (n * t)
 
     # score in the projected-out regressor directions plus the
     # factor-estimation-error channel through the covariate idiosyncrasies
@@ -253,20 +254,19 @@ def compute_ape_bias(
     f = factors.factors
     lam = fit.loadings
     n, t = panel.outcomes.shape
+    r = f.shape[1]
     c_grid = lam @ f.T
     d_c, d_cc, d_beta = policy_grid(family, fit.beta, c_grid, policy)
 
     gamma_i = np.einsum("nt,tr->nr", d_c, f) / t
     gamma_t = np.einsum("nt,nr->tr", d_c, lam) / n
-    gamma = d_beta.mean(axis=(0, 1)) - np.einsum(
-        "nkr,nr->nk", beta_bias.BA_inv, gamma_i
-    ).mean(axis=0)
+    gamma = d_beta.mean(axis=(0, 1)) - (beta_bias.BA_inv @ gamma_i[..., None]).mean(0)[:, 0]
 
     u = np.einsum("nrs,ns->nr", beta_bias.A_inv, gamma_i)  # A_i^{-1} gamma_i
     proj_if = np.einsum("nr,tr->nt", u, f)
 
     l1, l2, l3 = beta_bias.l1, beta_bias.l2, beta_bias.l3
-    r_t = _einsum("nt,nr,nq->trq", l2, lam, u) / n
+    r_t = _sum_outer(l2, _row_outer(lam, u)).reshape(t, r, r) / n
     # Both pieces of the curvature bracket are second-order Taylor terms and
     # carry 1/2: the direct curvature of the partial effect in the
     # interactive effect, and the loading-bias response through the third
@@ -274,7 +274,7 @@ def compute_ape_bias(
     # simulated panels with known factors; without the 1/2 on the first
     # term the correction overshoots by the full curvature piece.)
     curv = 0.5 * d_cc - 0.5 * l3 * proj_if
-    w_t = _einsum("nt,nr,nq->trq", curv, lam, lam) / n
+    w_t = _sum_outer(curv, _row_outer(lam, lam)).reshape(t, r, r) / n
 
     b3 = float(np.sum(curv * beta_bias.quad_AQA)) / (n * t)
 

@@ -20,7 +20,6 @@ Units with a loading at the bound are counted in ``bound_hits``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ _STEP_CAP = 16.0  # max loading move per inner iteration, per coordinate
 # tests allow rounding-level slack instead of rejecting the step.
 _EPS_SLACK = 64.0 * np.finfo(float).eps
 _HALVING_MAX = 50  # step halvings per line search
-_EINSUM_PATHS = 1024  # contraction paths kept, one per (subscripts, operand shapes)
 
 
 @dataclass
@@ -69,13 +67,14 @@ class FitOptions:
 class CceFit:
     """Converged (or best-effort) two-step fit.
 
-    ``index`` is always consistent with (beta, loadings, factors) at
-    read-back.  ``grad_norm`` is the sup-norm of the scaled score blocks
-    (coefficients scaled by 1/(NT), each unit's loading block by 1/T),
-    projected at active loading bounds.  ``objective_path`` records the
-    average log likelihood at the start and after every accepted update
-    phase; a coefficient-step entry is the objective at the index the next
-    loading solve starts from.
+    ``index`` is the index at the optimizer's last point, not a read-back
+    (``x @ beta + loadings @ factors.T`` up to rounding), and ``loglik``
+    its average log likelihood, ``objective_path[-1]``.  ``grad_norm`` is
+    the sup-norm of the scaled score blocks (coefficients scaled by 1/(NT),
+    each unit's loading block by 1/T), projected at active loading bounds.
+    ``objective_path`` records the average log likelihood at the start and
+    after every accepted update phase; a coefficient-step entry is the
+    objective at the index the next loading solve starts from.
     ``stop_reason`` says why the outer iteration ended: ``"converged"``,
     ``"max_iterations"``, ``"singular_coefficient_system"`` (the
     coefficient Newton system could not be solved),
@@ -129,20 +128,6 @@ def objective(panel: Panel, factors: FactorEstimate, family: Family, beta, loadi
     return float(log_density(family, panel.outcomes, z).mean())
 
 
-@functools.lru_cache(maxsize=_EINSUM_PATHS)
-def _einsum_path(subscripts, shapes):
-    operands = (np.broadcast_to(0.0, shape) for shape in shapes)
-    return np.einsum_path(subscripts, *operands, optimize=True)[0]
-
-
-def _einsum(subscripts, *operands):
-    """``np.einsum(subscripts, *operands, optimize=True)``, bit for bit, with
-    the contraction path planned once per (subscripts, operand shapes): the
-    greedy search reads nothing else."""
-    shapes = tuple(np.shape(a) for a in operands)
-    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, shapes))
-
-
 def _solve_blocks(h, rhs):
     """``np.linalg.solve``; if a batch holds a singular block, block by block,
     with NaN for the blocks that stay singular."""
@@ -191,11 +176,26 @@ def _loading_score(l1, f, lam, bound):
     return np.where(pinned, 0.0, g), pinned
 
 
-def _loading_hessian(l2, f, pinned):
+def _row_outer(a, b):
+    """Each row's outer product a_i b_i', flattened: (m, p), (m, q) -> (m, p*q)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _sum_weighted(w, a):
+    """sum of w_m a_m over every leading index m, one GEMV: (...), (..., p) -> (p,)."""
+    return w.reshape(-1) @ a.reshape(-1, a.shape[-1])
+
+
+def _sum_outer(a, b):
+    """sum of a_m b_m' over every leading index m, one GEMM: (..., p), (..., q) -> (p, q)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _loading_hessian(l2, f, pinned=None):
     """Per-unit curvature sum_t l2 f_t f_t'; pinned rows and columns are zero
     with -1 on the diagonal, so Newton solves leave those coordinates put."""
-    h = _einsum("nt,tr,ts->nrs", l2, f, f)
-    if pinned.any():
+    h = (l2 @ _row_outer(f, f)).reshape(len(l2), f.shape[1], -1)
+    if pinned is not None and pinned.any():
         h[pinned[:, :, None] | pinned[:, None, :]] = 0.0
         unit, coord = np.nonzero(pinned)
         h[unit, coord, coord] = -1.0
@@ -321,10 +321,10 @@ def _pooled_beta(family: Family, y, x):
     obj = float(ld.sum())
     for _ in range(50):
         l1, l2 = _index_derivatives(family, y, z, 2, ld)
-        g = np.einsum("nt,ntk->k", l1, x)
+        g = _sum_weighted(l1, x)
         if np.max(np.abs(g)) / (n * t) <= 1e-6:
             break
-        h = _einsum("nt,ntk,ntl->kl", l2, x, x)
+        h = _sum_outer(x * l2[..., None], x)
         step = -_solve_neg_definite(h, g)
 
         def trial(rows, step, alpha):
@@ -433,7 +433,7 @@ def fit_cce(
     obj_last = -np.inf
 
     for _ in range(opts.max_iterations):
-        lam, _, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
+        lam, z, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
             family, y, z_base, z, ld, f, lam, bound, tol, inner_max=50
         )
         stalled += n_stalled
@@ -441,7 +441,7 @@ def fit_cce(
         obj = float(obj_units.sum())
         path.append(obj / (n * t))
 
-        gb = np.einsum("nt,ntk->k", l1, x)
+        gb = _sum_weighted(l1, x)
         gl, pinned = _loading_score(l1, f, lam, bound)
         grad_norm = max(float(np.abs(gb).max()) / (n * t), float(np.abs(gl).max()) / t)
         if grad_norm <= tol:
@@ -456,15 +456,15 @@ def fit_cce(
         obj_last = obj
 
         # profile Newton step for the coefficients, pinned loadings held fixed
-        hb = _einsum("nt,ntk,ntl->kl", l2, x, x)
-        hbl = _einsum("nt,ntk,tr->nkr", l2, x, f)
+        xw = x * l2[..., None]
+        hlb = f.T @ xw  # per-unit sum_t l2 f_t x_t'
         if pinned.any():
-            hbl = np.where(pinned[:, None, :], 0.0, hbl)
+            hlb = np.where(pinned[:, :, None], 0.0, hlb)
         hll = _loading_hessian(l2, f, pinned)
-        t1 = _solve_neg_definite(hll, hbl.transpose(0, 2, 1))  # Hll^-1 Hlb
+        t1 = _solve_neg_definite(hll, hlb)  # Hll^-1 Hlb
         t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
-        schur = hb - np.einsum("nkr,nrl->kl", hbl, t1)
-        rhs = gb - np.einsum("nkr,nr->k", hbl, t2)
+        schur = _sum_outer(xw, x) - _sum_outer(hlb, t1)
+        rhs = gb - _sum_weighted(t2, hlb)
         db = -_solve_neg_definite(schur, rhs)
         if not np.all(np.isfinite(db)):
             stop_reason = "singular_coefficient_system"
@@ -496,13 +496,12 @@ def fit_cce(
         iterations += 1
         path.append(float(obj_c[0]) / (n * t))
 
-    index = x @ beta + lam @ f.T
     bound_hits = int(np.sum(np.any(np.abs(lam) >= bound, axis=1)))
     return CceFit(
         beta=beta,
         loadings=lam,
-        index=index,
-        loglik=float(_log_density_unchecked(family, y, index).mean()),
+        index=z,
+        loglik=path[-1],
         grad_norm=float(grad_norm),
         iterations=iterations,
         stop_reason=stop_reason,

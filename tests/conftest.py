@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 import ccepanel as cp
 from ccepanel.likelihood import Family
@@ -57,3 +59,24 @@ def logit_test_panel(rng, n=30, t=20, k=2, r=1, beta=None):
 
 
 FAMILY_NAMES = [f.value for f in Family]
+
+
+def draw_panel_shapes(data):
+    """Hypothesis draw of panel sizes with N < T, N = T and N > T (numpy's
+    contraction order once depended on which), k 1-5, r 1-3, and a generator."""
+    n = data.draw(st.integers(1, 40), label="n")
+    t = data.draw(st.sampled_from([
+        st.integers(n + 1, 60), st.just(n), st.integers(1, max(n - 1, 1))
+    ]).flatmap(lambda s: s), label="t")
+    k = data.draw(st.integers(1, 5), label="k")
+    r = data.draw(st.integers(1, 3), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return n, t, k, r, rng
+
+
+def assert_einsum(got, subscripts, *operands):
+    """``got`` equals the plain ``np.einsum`` at rtol 1e-12 of each entry, with
+    the same relative slack on the largest entry for entries that sums of
+    mixed signs bring near zero."""
+    want = np.einsum(subscripts, *operands)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))

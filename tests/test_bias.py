@@ -3,13 +3,16 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import ccepanel as cp
 from ccepanel import InvalidInputError, NumericalError, PolicyPair
+from ccepanel.ape import policy_grid
 from ccepanel.bias import lag_cross_sum
 from ccepanel.likelihood import Family
-from conftest import make_factor_estimate, make_fit
+from conftest import assert_einsum, draw_panel_shapes, make_factor_estimate, make_fit
 
 import oracles as orc
 
@@ -61,6 +64,45 @@ def _oracle_degenerate(family_name, raw):
     sv = np.linalg.svd(ob["A_i"], compute_uv=False)
     cond_a = sv.max() / np.maximum(sv.min(axis=-1), np.finfo(float).tiny)
     return bool(cond_a.max() > 1e10 or not np.linalg.cond(ob["Delta"]) <= 1e10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bias_plug_ins_match_their_einsum_definitions(data):
+    # every plug-in sum written as a GEMM, against its plain einsum from the
+    # record's own inputs (the loop oracle above checks the formulas)
+    n, t, k, r, rng = draw_panel_shapes(data)
+    # at T <= r the covariates lie in the factor space, so xdot and e_hat
+    # are rounding noise and relative comparisons say nothing
+    r = min(r, k)
+    n, t = max(n, 2), max(t, r + 2)
+    y, x, f, psi, beta, lam = orc.random_panel(rng, "logit", n, t, k, r)
+    panel, fe = cp.Panel(y, x), make_factor_estimate(f, psi=psi)
+    fit = make_fit(beta, lam, fe, panel)
+    policy = PolicyPair(np.zeros(k), np.eye(k)[0])
+    try:
+        bb = cp.compute_beta_bias(panel, fit, fe, Family.LOGIT, bandwidth=1)
+        ab = cp.compute_ape_bias(panel, fit, fe, Family.LOGIT, policy, bb, bandwidth=1)
+    except NumericalError:
+        reject()  # too few periods for the per-unit information blocks
+    l2, l3, xdot, a_inv = bb.l2, bb.l3, bb.xdot, bb.A_inv
+    a_i = np.einsum("nt,tr,ts->nrs", l2, f, f) / t
+    assert_einsum(bb.BA_inv, "nt,ntk,tr,nrs->nks", l2, x, f, a_inv / t)
+    assert_einsum(bb.Delta, "nt,ntk,ntl->kl", l2, xdot, xdot / (n * t))
+    assert_einsum(bb.quad_AQA, "tr,nrs,nsu,nuq,tq->nt", f, a_inv, -a_i, a_inv, f)
+    assert_einsum(bb.P_t, "ntr,ntq->trq", bb.e_rot, bb.e_rot)
+    c_t = np.einsum("nt,ntk,nr->tkr", l2, xdot, lam) / n
+    want = bb.l1[..., None] * xdot + np.einsum("tkr,ntr->ntk", c_t, bb.e_rot)
+    assert_allclose(bb.influence, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    d_tj = np.einsum("nt,nr,njq->tjrq", l2, lam, bb.BA_inv) / n
+    g_tj = np.einsum("nt,ntj,nr,nq->tjrq", l3, xdot, lam, lam) / n
+    assert_einsum(bb.d2, "trq,tjrq->j", bb.P_t, (d_tj - 0.5 * g_tj) / (n * t))
+
+    d_c, d_cc, _ = policy_grid(Family.LOGIT, beta, lam @ f.T, policy)
+    u = np.einsum("nrs,ns->nr", a_inv, np.einsum("nt,tr->nr", d_c, f) / t)
+    assert_einsum(ab.R_t, "nt,nr,nq->trq", l2, lam, u / n)
+    w_t = np.einsum("nt,nr,nq->trq", 0.5 * d_cc - 0.5 * l3 * ab.proj_if, lam, lam) / n
+    assert_einsum(ab.d4, "trq,trq->", w_t - ab.R_t, bb.P_t / (n * t))
 
 
 @pytest.mark.parametrize("family_name", ["logit", "poisson", "gaussian"])
