@@ -186,8 +186,7 @@ def compute_beta_bias(
     ba_inv = (x * l2[..., None]).transpose(0, 2, 1) @ f / t @ a_inv  # B_i A_i^-1
     xdot = x - f @ ba_inv.transpose(0, 2, 1)
 
-    xdot_w = xdot * l2[..., None]
-    delta = _sum_outer(xdot_w, xdot) / (n * t)
+    delta = _sum_outer(xdot * l2[..., None], xdot) / (n * t)
     _condition_check(delta, "curvature matrix of the concentrated objective")
 
     # per-unit least squares of the covariates on the factors
@@ -198,11 +197,12 @@ def compute_beta_bias(
         raise NumericalError(f"factor gram matrix is singular: {exc}") from exc
     e_hat = x - np.einsum("nkr,tr->ntk", gi_t.transpose(0, 2, 1), f)
 
-    c_t = _sum_outer(xdot_w.reshape(n, t * k), lam).reshape(t, k, r) / n
+    # the (N, T, k) products are not kept: they would raise the peak memory below
+    c_t = _sum_outer((xdot * l2[..., None]).reshape(n, t * k), lam).reshape(t, k, r) / n
     lam_ba = (ba_inv[:, :, None, :] * lam[:, None, :, None]).reshape(n, k * r * r)
     d_tj = _sum_outer(l2, lam_ba).reshape(t, k, r, r) / n
-    xdot_l3 = (xdot * l3[..., None]).reshape(n, t * k)
-    g_tj = _sum_outer(xdot_l3, _row_outer(lam, lam)).reshape(t, k, r, r) / n
+    g_tj = _sum_outer((xdot * l3[..., None]).reshape(n, t * k), _row_outer(lam, lam))
+    g_tj = g_tj.reshape(t, k, r, r) / n
 
     quad = (a_inv @ -a_i @ a_inv).reshape(n, r * r) @ _row_outer(f, f).T
     b1 = -0.5 * _sum_weighted(l3 * quad, xdot) / (n * t)
