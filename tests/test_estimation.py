@@ -530,25 +530,64 @@ def test_no_optimized_einsum_in_the_package():
         assert "optimize=True" not in text and "einsum_path" not in text, path.name
 
 
+# each contraction of the fit and the plug-ins, keyed by its einsum
+# subscripts, in the GEMM form the package computes it in; axis sizes: n
+# units, t periods, (k, l, j) covariates, (r, s, q, u) factors
+_GEMM_FORMS = {
+    "nrs,nsu,nuq->nrq": lambda a, b, c: a @ b @ c,
+    "nt,nr,njq->tjrq": lambda l, a, b: _sum_outer(
+        l, (b[:, :, None, :] * a[:, None, :, None]).reshape(len(a), -1)
+    ).reshape(l.shape[1], b.shape[1], a.shape[1], b.shape[2]),
+    "nt,nr,nq->trq": lambda l, a, b: _sum_outer(l, _row_outer(a, b)).reshape(
+        l.shape[1], a.shape[1], b.shape[1]),
+    "nt,ntj,nr,nq->tjrq": lambda l, x, a, b: _sum_outer(
+        (x * l[..., None]).reshape(len(x), -1), _row_outer(a, b)
+    ).reshape(*x.shape[1:], a.shape[1], b.shape[1]),
+    "nt,ntk,nr->tkr": lambda l, x, a: _sum_outer(
+        (x * l[..., None]).reshape(len(x), -1), a).reshape(*x.shape[1:], a.shape[1]),
+    "nt,ntk,ntl->kl": lambda l, x, w: _sum_outer(x * l[..., None], w),
+    "nt,ntk,tr->nkr": lambda l, x, f: (f.T @ (x * l[..., None])).transpose(0, 2, 1),
+    "nt,tr,ts->nrs": lambda l, f, g: (l @ _row_outer(f, g)).reshape(
+        len(l), f.shape[1], g.shape[1]),
+    "ntr,ntq->trq": lambda a, b: a.transpose(1, 2, 0) @ b.transpose(1, 0, 2),
+    "tr,nrq,tq->nt": lambda f, m, g: m.reshape(len(m), -1) @ _row_outer(f, g).T,
+    "trq,tjrq->j": lambda p, d: _sum_weighted(p, d.transpose(0, 2, 3, 1)),
+}
+_AXES = {"n": "n", "t": "t", "k": "k", "l": "k", "j": "k",
+         "r": "r", "s": "r", "q": "r", "u": "r"}
+
+
+@pytest.mark.parametrize("subscripts", sorted(_GEMM_FORMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_einsum_with_a_cached_path_is_optimized_einsum_bit_for_bit(subscripts, data):
+    # the GEMM form against numpy's optimized einsum: bit for bit on small
+    # integers, where every summation order is exact, and at rtol 1e-12 on
+    # normal draws, where the orders differ in rounding
+    n, t, k, r, rng = draw_panel_shapes(data)
+    size = {"n": n, "t": t, "k": k, "r": r}
+    shapes = [[size[_AXES[c]] for c in term]
+              for term in subscripts.split("->")[0].split(",")]
+    whole = [rng.integers(-3, 4, shape).astype(float) for shape in shapes]
+    got = _GEMM_FORMS[subscripts](*whole)
+    assert np.array_equal(got, np.einsum(subscripts, *whole, optimize=True))
+    normal = [rng.standard_normal(shape) for shape in shapes]
+    assert_einsum(_GEMM_FORMS[subscripts](*normal), subscripts, *normal)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gemm_contractions_match_their_einsum_definitions(data):
+    # the coefficient score and the Schur step's sums over units and loading
+    # coordinates, here on a transposed view; the other contractions are
+    # checked one by one above
     n, t, k, r, rng = draw_panel_shapes(data)
     l, x = rng.standard_normal((n, t)), rng.standard_normal((n, t, k))
     f, lam = rng.standard_normal((t, r)), rng.standard_normal((n, r))
-    xw = x * l[..., None]
     assert_einsum(_sum_weighted(l, x), "nt,ntk->k", l, x)
-    assert_einsum(_sum_outer(xw, x), "nt,ntk,ntl->kl", l, x, x)
-    # the Schur step's sums over units and loading coordinates, here on a
-    # transposed view
     hlb, t1 = rng.standard_normal((n, k, r)).transpose(0, 2, 1), rng.standard_normal((n, r, k))
     assert_einsum(_sum_outer(hlb, t1), "nrk,nrl->kl", hlb, t1)
     assert_einsum(_sum_weighted(lam, hlb), "nr,nrk->k", lam, hlb)
-    # the plug-ins' unit sums of a (N, T, ...) by a (N, ...) operand
-    assert_einsum(_sum_outer(xw.reshape(n, t * k), lam).reshape(t, k, r), "nt,ntk,nr->tkr",
-                  l, x, lam)
-    assert_einsum(_sum_outer(l, _row_outer(lam, lam)).reshape(t, r, r), "nt,nr,nq->trq",
-                  l, lam, lam)
 
     # the loading curvature: plain, then with pinned sets of every density
     plain = np.einsum("nt,tr,ts->nrs", l, f, f)
