@@ -100,11 +100,13 @@ def run_estimate(args) -> dict:
     try:
         bias = compute_beta_bias(panel, fit, fe, family, bandwidth=args.bandwidth)
     except NumericalError as exc:
-        bound_note = f"; {fit.bound_hits} unit(s) at the loading bound" if fit.bound_hits else ""
+        if not fit.bound_hits:  # no runaway loadings: the hint would mislead
+            raise
         raise NumericalError(
-            f"{exc}{bound_note} (units with runaway loadings usually mean "
-            "perfect separation; a smaller --loading-bound, e.g. 30, stops "
-            "them where their contribution is negligible)"
+            f"{exc}; {fit.bound_hits} unit(s) at the loading bound (units with "
+            "runaway loadings usually mean perfect separation; a smaller "
+            "--loading-bound, e.g. 30, stops them where their contribution is "
+            "negligible)"
         ) from exc
     beta_corrected = None
     spj_block = None

@@ -77,12 +77,15 @@ class CceFit:
     objective at the index the next loading solve starts from.
     ``stop_reason`` says why the outer iteration ended: ``"converged"``,
     ``"max_iterations"``, ``"singular_coefficient_system"`` (the
-    coefficient Newton system could not be solved),
+    coefficient Newton system is singular: the coefficients are not
+    identified, say a covariate duplicates another),
     ``"coefficient_line_search_failed"`` or ``"no_progress"`` (an outer
     iteration, a coefficient step and the loading solve after it, left the
     objective where it was).  ``loading_rounds`` holds the
     inner Newton rounds of each loading solve, one per outer iteration, and
-    ``stalled`` the number of unit line searches that failed in them.
+    ``stalled`` the number of unit line searches that failed in them plus
+    the units held out of a coefficient system, whose loading curvature
+    block could not be solved.
     ``coefficient_trials`` counts the trials of the coefficient line
     searches, each one full-panel log-density evaluation.
     """
@@ -128,41 +131,25 @@ def objective(panel: Panel, factors: FactorEstimate, family: Family, beta, loadi
     return float(log_density(family, panel.outcomes, z).mean())
 
 
-def _solve_blocks(h, rhs):
-    """``np.linalg.solve``; if a batch holds a singular block, block by block,
-    with NaN for the blocks that stay singular."""
+def _solve_neg_definite(h, rhs):
+    """Solve h a = rhs for (batched) negative-definite h; never raises.
+
+    ``np.linalg.solve`` on the batch; if that raises, block by block.  A
+    block that is singular or whose solution is not finite comes back all
+    NaN, and callers treat a NaN direction as a failed Newton step.
+    """
+    if h.ndim == 2:  # one system, 1-d rhs: a batch of one
+        return _solve_neg_definite(h[None], rhs[None, :, None])[0, :, 0]
     try:
-        return np.linalg.solve(h, rhs)
+        out = np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError:
         out = np.full(np.shape(rhs), np.nan)
-        if h.ndim == 3:
-            for i in range(len(h)):
-                try:
-                    out[i] = np.linalg.solve(h[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    pass
-        return out
-
-
-def _ridged(h):
-    diag = np.abs(np.diagonal(h, axis1=-2, axis2=-1)).max(axis=-1)
-    return h - (1e-10 * (1.0 + diag))[..., None, None] * np.eye(h.shape[-1])
-
-
-def _solve_neg_definite(h, rhs):
-    """Solve h a = rhs for (batched) negative-definite h, with ridge fallback.
-
-    Only the blocks whose solve fails or comes back non-finite are solved
-    again, with a small ridge; the others keep their first solution.  Never
-    raises: blocks the ridge cannot solve either come back NaN, and callers
-    treat a NaN direction as a failed Newton step.
-    """
-    out = _solve_blocks(h, rhs)
-    if h.ndim == 2:
-        return out if np.all(np.isfinite(out)) else _solve_blocks(_ridged(h), rhs)
-    bad = ~np.isfinite(out).reshape(len(out), -1).all(axis=1)
-    if bad.any():
-        out[bad] = _solve_blocks(_ridged(h[bad]), rhs[bad])
+        for i in range(len(h)):
+            try:
+                out[i] = np.linalg.solve(h[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    out[~np.isfinite(out).reshape(len(out), -1).all(axis=1)] = np.nan
     return out
 
 
@@ -444,6 +431,28 @@ def fit_cce(
         gb = _sum_weighted(l1, x)
         gl, pinned = _loading_score(l1, f, lam, bound)
         grad_norm = max(float(np.abs(gb).max()) / (n * t), float(np.abs(gl).max()) / t)
+
+        # profile Newton step for the coefficients, pinned loadings held
+        # fixed; solved before the stop tests, so that a fit whose
+        # coefficients are not identified never reports convergence
+        xw = x * l2[..., None]
+        hlb = f.T @ xw  # per-unit sum_t l2 f_t x_t'
+        if pinned.any():
+            hlb = np.where(pinned[:, :, None], 0.0, hlb)
+        hll = _loading_hessian(l2, f, pinned)
+        t1 = _solve_neg_definite(hll, hlb)  # Hll^-1 Hlb
+        t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
+        # a unit whose block cannot be solved (all NaN) is held in this step,
+        # as a pinned coordinate is: its rows leave the Schur system
+        held = np.isnan(t1[:, 0, 0]) | np.isnan(t2[:, 0])
+        t1[held], t2[held] = 0.0, 0.0
+        stalled += int(held.sum())
+        schur = _sum_outer(xw, x) - _sum_outer(hlb, t1)
+        rhs = gb - _sum_weighted(t2, hlb)
+        db = -_solve_neg_definite(schur, rhs)
+        if not np.all(np.isfinite(db)):
+            stop_reason = "singular_coefficient_system"
+            break
         if grad_norm <= tol:
             stop_reason = "converged"
             break
@@ -454,21 +463,6 @@ def fit_cce(
             stop_reason = "no_progress"
             break
         obj_last = obj
-
-        # profile Newton step for the coefficients, pinned loadings held fixed
-        xw = x * l2[..., None]
-        hlb = f.T @ xw  # per-unit sum_t l2 f_t x_t'
-        if pinned.any():
-            hlb = np.where(pinned[:, :, None], 0.0, hlb)
-        hll = _loading_hessian(l2, f, pinned)
-        t1 = _solve_neg_definite(hll, hlb)  # Hll^-1 Hlb
-        t2 = _solve_neg_definite(hll, gl[:, :, None])[:, :, 0]
-        schur = _sum_outer(xw, x) - _sum_outer(hlb, t1)
-        rhs = gb - _sum_weighted(t2, hlb)
-        db = -_solve_neg_definite(schur, rhs)
-        if not np.all(np.isfinite(db)):
-            stop_reason = "singular_coefficient_system"
-            break
 
         # the trial index is summed as the next loading solve would sum it
         # at entry, so the accepted (last) trial hands over its densities

@@ -80,3 +80,13 @@ def assert_einsum(got, subscripts, *operands):
     mixed signs bring near zero."""
     want = np.einsum(subscripts, *operands)
     assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+def duplicated_covariate_panel(jitter=0.0):
+    """The 60 x 60 seed-21 DGP panel with its fourth covariate a copy of its
+    third plus ``jitter`` times N(0, 1) noise; at zero jitter the
+    coefficients on the two are not identified."""
+    panel = cp.generate(cp.DgpConfig(n_units=60, n_periods=60, seed=21)).panel
+    x = panel.covariates.copy()
+    x[:, :, 3] = x[:, :, 2] + jitter * np.random.default_rng(0).standard_normal(x.shape[:2])
+    return cp.Panel(panel.outcomes, x)

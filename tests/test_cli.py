@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import ccepanel as cp
 from ccepanel.cli import main
 from ccepanel.jackknife import spj_combine
+from conftest import duplicated_covariate_panel
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,44 @@ def test_poisson_on_sign_flipping_panel_is_numerical_error(tmp_path, capsys):
     code = main(["estimate", "--input", str(path), "--family", "poisson"])
     assert code == 3
     assert "positive" in capsys.readouterr().err
+
+
+def test_estimate_duplicated_covariate_is_a_singular_system(tmp_path, capsys):
+    # the coefficients on a duplicated covariate are not identified: the fit
+    # stops on the singular coefficient system, and no separation is blamed
+    path = tmp_path / "dup.csv"
+    cp.write_panel_csv(duplicated_covariate_panel(), path)
+    code = main(["estimate", "--input", str(path), "--family", "logit"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "did not converge (singular_coefficient_system)" in err
+    assert "separation" not in err
+
+
+def test_separation_hint_needs_a_unit_at_the_loading_bound(tmp_path, capsys):
+    # nearly collinear covariates: the concentrated curvature is
+    # ill-conditioned with no unit at the bound, so no separation is blamed
+    path = tmp_path / "near.csv"
+    cp.write_panel_csv(duplicated_covariate_panel(jitter=1e-5), path)
+    code = main(["estimate", "--input", str(path), "--family", "logit", "--rank", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "near-singular" in err and "separation" not in err
+
+    # a perfectly separated probit unit runs its loading to the bound, and
+    # its information block cannot be inverted: the hint stays
+    draw = cp.generate(cp.DgpConfig(n_units=50, n_periods=40, seed=5))
+    x = draw.panel.covariates
+    noise = np.random.default_rng(3).standard_normal(x.shape[:2])
+    y = (x @ np.ones(4) + draw.true_index - noise >= 0).astype(float)
+    path = tmp_path / "separated.csv"
+    cp.write_panel_csv(cp.Panel(y, x), path)
+    code = main(["estimate", "--input", str(path), "--family", "probit",
+                 "--loading-bound", "30"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "for unit 23" in err and "1 unit(s) at the loading bound" in err
+    assert "perfect separation" in err
 
 
 def test_estimate_spj_report_carries_identity(sim_csv, tmp_path):

@@ -21,8 +21,16 @@ from ccepanel.estimation import (
     _sum_outer,
     _sum_weighted,
 )
+from ccepanel.jackknife import split_half_panels
 from ccepanel.likelihood import Family, _index_derivatives
-from conftest import assert_einsum, draw_panel_shapes, logit_test_panel, make_factor_estimate
+from ccepanel.simulate import replication_seed
+from conftest import (
+    assert_einsum,
+    draw_panel_shapes,
+    duplicated_covariate_panel,
+    logit_test_panel,
+    make_factor_estimate,
+)
 
 import oracles as orc
 
@@ -238,33 +246,38 @@ def test_fit_nonconvergence_is_flagged_not_raised(rng):
     assert np.isfinite(fit.loglik)
 
 
-def test_fit_reports_a_failed_coefficient_line_search(rng):
-    # a covariate that is zero in every cell has a zero score, so the
-    # coefficient step has no ascent direction; a tolerance below rounding
-    # keeps the loading score from ever meeting it first
+def test_fit_reports_a_failed_coefficient_line_search(rng, monkeypatch):
+    # stand in for a search that finds no increase: every single-row search
+    # (the pooled start's and the coefficient step's) fails, the batched
+    # loading searches run as is
+    def failing_search(trial, obj, g, step, scale, halving_max):
+        if obj.size == 1:
+            return step, np.ones(1), obj, np.zeros(1, dtype=bool)
+        return _line_search(trial, obj, g, step, scale, halving_max)
+
+    monkeypatch.setattr("ccepanel.estimation._line_search", failing_search)
+    panel = logit_test_panel(rng, n=15, t=12)
+    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 1), Family.LOGIT)
+    assert fit.stop_reason == "coefficient_line_search_failed"
+    assert not fit.converged and fit.iterations == 0 and fit.coefficient_trials == 0
+    assert fit.beta.tolist() == [0.0, 0.0]
+
+
+def test_fit_reports_a_singular_coefficient_system(rng):
+    # coefficients that are not identified: a covariate that is zero in
+    # every cell has a zero score, which alone would meet the tolerance
     panel = logit_test_panel(rng, n=15, t=12, k=1)
     panel = cp.Panel(panel.outcomes, np.zeros_like(panel.covariates))
     fe = make_factor_estimate(rng.standard_normal((12, 1)) + 1.0)
-    fit = cp.fit_cce(panel, fe, Family.LOGIT, FitOptions(grad_tolerance=1e-300))
-    assert fit.stop_reason == "coefficient_line_search_failed"
+    fit = cp.fit_cce(panel, fe, Family.LOGIT)
+    assert fit.stop_reason == "singular_coefficient_system"
     assert not fit.converged and fit.iterations == 0
     assert fit.beta.tolist() == [0.0]
 
-
-def test_fit_reports_a_singular_coefficient_system(rng, monkeypatch):
-    # the ridge fallback of _solve_neg_definite solves every finite
-    # negative semi-definite system, so only a non-finite curvature reaches
-    # this stop; stand in for that by a NaN direction from every k x k solve
-    # (the pooled start then takes gradient steps, the batched loading
-    # solves run as is)
-    def failing_solve(h, rhs):
-        if h.ndim == 2:
-            return np.full(np.shape(rhs), np.nan)
-        return _solve_neg_definite(h, rhs)
-
-    monkeypatch.setattr("ccepanel.estimation._solve_neg_definite", failing_solve)
-    panel = logit_test_panel(rng, n=15, t=12)
-    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 1), Family.LOGIT)
+    # a duplicated covariate: the pooled start takes gradient steps, and
+    # the first coefficient system is singular
+    panel = duplicated_covariate_panel()
+    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 2), Family.LOGIT)
     assert fit.stop_reason == "singular_coefficient_system"
     assert not fit.converged and fit.iterations == 0
 
@@ -298,10 +311,9 @@ def _neg_definite_blocks(rng, n, r):
 
 
 def test_solve_neg_definite_gives_nan_rows_for_a_non_finite_block(rng):
-    # a NaN curvature block has no Newton direction even after the ridge;
-    # its row comes back NaN (for the line search to replace by the scaled
-    # score) instead of raising, and the other blocks keep their exact
-    # first solution: the ridge touches the failed block only
+    # a NaN curvature block has no Newton direction; its row comes back NaN
+    # (for the line search to replace by the scaled score) instead of
+    # raising, and the other blocks keep their exact solution
     h = _neg_definite_blocks(rng, 3, 2)
     h[1, 0, 1] = np.nan
     rhs = rng.standard_normal((3, 2, 1))
@@ -310,16 +322,43 @@ def test_solve_neg_definite_gives_nan_rows_for_a_non_finite_block(rng):
     assert np.array_equal(out[[0, 2]], np.linalg.solve(h[[0, 2]], rhs[[0, 2]]))
 
 
-def test_solve_neg_definite_ridges_only_a_singular_block(rng):
-    # an exactly singular block makes the batched solve raise; the failed
-    # block is found by solving each on its own, and only it is ridged
+def test_solve_neg_definite_gives_nan_rows_for_a_singular_block(rng):
+    # an exactly singular block makes the batched solve raise; each block is
+    # then solved on its own, and the zero block comes back NaN, as does a
+    # block whose solution overflows in one coordinate; the healthy blocks
+    # keep np.linalg.solve's exact bits
     h = _neg_definite_blocks(rng, 4, 3)
     h[2] = 0.0
+    h[1] = np.diag([-1e-300, -1.0, -1.0])
     rhs = rng.standard_normal((4, 3, 1))
+    rhs[1, 0] = 1e10
     out = _solve_neg_definite(h, rhs)
-    healthy = [0, 1, 3]
+    healthy = [0, 3]
     assert np.array_equal(out[healthy], np.linalg.solve(h[healthy], rhs[healthy]))
-    assert_allclose(out[2], -1e10 * rhs[2], rtol=1e-12)  # ridge 1e-10 on a zero block
+    assert np.isnan(out[[1, 2]]).all()
+    # a single system, as the pooled start and the coefficient step solve it
+    b = rhs[0, :, 0]
+    assert np.array_equal(_solve_neg_definite(h[0], b), np.linalg.solve(h[0], b))
+    assert np.isnan(_solve_neg_definite(h[2], b)).all()
+    assert np.isnan(_solve_neg_definite(h[1], rhs[1, :, 0])).all()
+
+
+def test_fit_holds_units_whose_curvature_block_is_singular():
+    # units with y = 1 in every period run their loadings out; one that sits
+    # at the bound with an inward score is not pinned, but its l2 has
+    # underflowed and its curvature block is exactly singular: the Schur
+    # step holds it, the fit converges and `stalled` counts the held units
+    seed = replication_seed(77, 40, 30, False, 0)
+    draw = cp.generate(cp.DgpConfig(n_units=40, n_periods=30, seed=seed))
+    panel = split_half_panels(draw.panel)[1][1]  # the second half of the periods
+    fe = cp.estimate_factors(panel, 2)
+    fit = cp.fit_cce(panel, fe, Family.LOGIT, FitOptions(loading_bound=30.0))
+    assert fit.converged and fit.stalled > 0
+    l1, l2 = _index_derivatives(Family.LOGIT, panel.outcomes, fit.index, 2)
+    _, pinned = _loading_score(l1, fe.factors, fit.loadings, 30.0)
+    h = _loading_hessian(l2, fe.factors, pinned)
+    held = np.flatnonzero(np.isnan(_solve_neg_definite(h, np.ones((len(h), 2, 1)))[:, 0, 0]))
+    assert held.size > 0 and np.all(panel.outcomes[held] == 1.0)
 
 
 def test_fit_reports_loading_rounds_and_stalls(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -94,6 +96,27 @@ def test_run_grid_reproducible_and_parallel_invariant():
         assert r1.estimator == r2.estimator
         assert_allclose(r1.bias, r2.bias, atol=0)
         assert_allclose(r1.coverage95, r2.coverage95, atol=0)
+
+
+def test_run_grid_counts_a_failed_full_fit_in_every_cell(monkeypatch):
+    # the second replication's full-panel fit ends unconverged: that
+    # replication is counted as failed in every (bandwidth, estimator) cell,
+    # not dropped from the requested count
+    fit_cce, calls = cp.fit_cce, []
+
+    def fit_failing_second(panel, factors, family, opts=None):
+        calls.append(panel.n_units)
+        fit = fit_cce(panel, factors, family, opts)
+        return dataclasses.replace(fit, stop_reason="max_iterations") if len(calls) == 2 else fit
+
+    monkeypatch.setattr("ccepanel.simulate.fit_cce", fit_failing_second)
+    # unpatched, all three replications of this cell are kept
+    table = cp.run_grid(sizes=[(40, 30)], serial=False, l_values=[0, 1], n_reps=3,
+                        base_seed=77)
+    assert calls == [40, 40, 40]  # one full fit per replication
+    assert len(table.rows) == 2 * 3
+    for row in table.rows:
+        assert (row.n_reps, row.n_failed) == (2, 1), row
 
 
 def test_run_grid_validates_inputs():
