@@ -59,7 +59,7 @@ class BetaBiasComponents:
     BA_inv: np.ndarray = field(repr=False)
     e_rot: np.ndarray = field(repr=False)  # Upsilon @ e_hat, (N,T,r)
     e_load: np.ndarray = field(repr=False)  # e_hat' Upsilon' lambda, (N,T)
-    quad_AQA: np.ndarray = field(repr=False)  # f' A^-1 (-A) A^-1 f, (N,T)
+    quad_AQA: np.ndarray = field(repr=False)  # f' A^-1 (-A) A^-1 f = -f' A^-1 f, (N,T)
     P_t: np.ndarray = field(repr=False)  # sum_i e_rot e_rot', (T,r,r)
 
     @property
@@ -204,7 +204,7 @@ def compute_beta_bias(
     g_tj = _sum_outer((xdot * l3[..., None]).reshape(n, t * k), _row_outer(lam, lam))
     g_tj = g_tj.reshape(t, k, r, r) / n
 
-    quad = (a_inv @ -a_i @ a_inv).reshape(n, r * r) @ _row_outer(f, f).T
+    quad = -(a_inv.reshape(n, r * r) @ _row_outer(f, f).T)
     b1 = -0.5 * _sum_weighted(l3 * quad, xdot) / (n * t)
 
     # sum over t, s of k((t-s)/L) l2_it l1_is xdot_it f_t' A_i^{-1} f_s

@@ -82,7 +82,7 @@ def run_estimate(args) -> dict:
         if vals.shape != (k,):
             raise InvalidInputError(f"{name} must have {k} entries, got {vals.shape[0]}")
     policy = PolicyPair(*policy_vectors.values()) if policy_vectors else None
-    family = Family.from_string(args.family)
+    family = Family(args.family)
     rank_info = _choose_rank(panel, args)
     r = rank_info["used"]
     if not 1 <= r <= k:

@@ -46,16 +46,6 @@ class Family(enum.Enum):
     POISSON = "poisson"
     GAUSSIAN = "gaussian"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Family":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in cls)
-            raise InvalidInputError(
-                f"unknown family {name!r}; expected one of: {valid}"
-            ) from None
-
     @property
     def is_binary(self) -> bool:
         return self in (Family.LOGIT, Family.PROBIT)

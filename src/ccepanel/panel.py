@@ -7,15 +7,15 @@ sorted ascending by time label (by numeric value, then by label, when every
 label is a number other than NaN; lexicographically otherwise).
 
 The reader converts the file a block of rows at a time, a column at a time,
-with ids and time labels as integer codes.  A file with a fault is read a
-second time, row by row, only to word the error of its first faulty row.
+with ids and time labels as integer codes.  A block that fails conversion
+is walked row by row to word the error of its first faulty row, and the
+file is read no further.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -88,48 +88,20 @@ def read_panel_csv(path) -> Panel:
     several faults, the first in file order is reported.
     """
     try:
-        panel = _read_blocks(path)
-        if panel is None:
-            _raise_first_fault(path)
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise PanelFormatError(f"cannot read panel file: {exc}") from exc
+    try:
+        with fh:
+            return _read_blocks(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    return panel
 
 
 # Rows per block of the CSV reader and writer.  A block's rows are Python
 # strings until the block is converted, so this bounds the reader's memory
 # above its arrays; much larger blocks raise the peak without being faster.
 _BLOCK_ROWS = 1024
-
-
-@contextmanager
-def _data_rows(path):
-    """Open ``path``, check its header, and yield (csv reader over the data
-    rows, number of covariates)."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise PanelFormatError(f"cannot read panel file: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise PanelFormatError(f"{path}: row 1 cannot be read: {exc}") from None
-        header = [h.strip() for h in header]
-        if len(header) < 4 or header[0] != "id" or header[1] != "time" or header[2] != "y":
-            raise PanelFormatError(
-                f"{path}: header must be 'id,time,y,x1,...,xk', got {header!r}"
-            )
-        k = len(header) - 3
-        expected_x = [f"x{j}" for j in range(1, k + 1)]
-        if header[3:] != expected_x:
-            raise PanelFormatError(
-                f"{path}: covariate columns must be {expected_x}, got {header[3:]}"
-            )
-        yield reader, k
 
 
 class _Codes(dict):
@@ -140,38 +112,82 @@ class _Codes(dict):
         return code
 
 
-def _read_blocks(path):
-    """The panel from one column-wise pass over blocks of rows, or None when
-    the file has a fault (which ``_raise_first_fault`` then words)."""
+def _read_blocks(path, reader):
+    """The panel from one pass over blocks of rows, each converted a column
+    at a time; a block that fails conversion is walked row by row to find
+    its first fault, and reading stops there."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise PanelFormatError(f"{path}: row 1 cannot be read: {exc}") from None
+    header = [h.strip() for h in header]
+    if len(header) < 4 or header[0] != "id" or header[1] != "time" or header[2] != "y":
+        raise PanelFormatError(
+            f"{path}: header must be 'id,time,y,x1,...,xk', got {header!r}"
+        )
+    k = len(header) - 3
+    expected_x = [f"x{j}" for j in range(1, k + 1)]
+    if header[3:] != expected_x:
+        raise PanelFormatError(
+            f"{path}: covariate columns must be {expected_x}, got {header[3:]}"
+        )
+
     units, times = _Codes(), _Codes()
-    unit_codes, time_codes, values = [], [], []
-    with _data_rows(path) as (reader, k):
+    unit_codes, time_codes, row_nos, values = [], [], [], []
+    fault, last = None, 1  # the first fault's message; the row number of the last row read
+    while fault is None:
+        block = []
         try:
-            for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-                columns = _block_columns(block, k)
-                if columns is None:
-                    columns = _block_columns([row for row in block if not _is_blank(row)], k)
-                    if columns is None:
-                        return None
-                ids, labels, vals = columns
-                unit_codes.append(
-                    np.fromiter(map(units.__getitem__, map(str.strip, ids)), np.intp))
-                time_codes.append(
-                    np.fromiter(map(times.__getitem__, map(str.strip, labels)), np.intp))
-                values.append(vals)
-        except csv.Error:
-            return None  # a row the csv module cannot read (a field over its size limit)
+            block.extend(islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:  # a field over the csv module's size limit
+            fault = f"{path}: row {last + len(block) + 1} cannot be read: {exc}"
+        if not block:
+            break
+        first_row, last = last + 1, last + len(block)
+        numbers = np.arange(first_row, last + 1)
+        columns = _block_columns(block, k)
+        if columns is None:
+            columns, numbers, row_fault = _first_fault(path, block, first_row, k)
+            fault = row_fault or fault  # a faulty row precedes the unreadable one
+        ids, labels, vals = columns
+        unit_codes.append(np.fromiter(map(units.__getitem__, map(str.strip, ids)), np.intp))
+        time_codes.append(np.fromiter(map(times.__getitem__, map(str.strip, labels)), np.intp))
+        row_nos.append(np.asarray(numbers, dtype=np.intp))
+        values.append(vals)
     if not units:
-        return None  # no data rows
-    values = np.concatenate(values, axis=1)
+        raise PanelFormatError(fault or f"{path}: no data rows")
+
     n, t = len(units), len(times)
-    if values.shape[1] != n * t or not np.isfinite(values).all():
-        return None  # a duplicate, a missing cell or a non-finite field
+    time_order = _sort_time_labels(times)
     period = np.empty(t, dtype=np.intp)
-    period[[times[label] for label in _sort_time_labels(times)]] = np.arange(t)
-    cell = np.concatenate(unit_codes) * t + period[np.concatenate(time_codes)]
-    if (np.bincount(cell, minlength=n * t) != 1).any():
-        return None
+    period[[times[label] for label in time_order]] = np.arange(t)
+    unit_codes, time_codes = np.concatenate(unit_codes), np.concatenate(time_codes)
+    cell = unit_codes * t + period[time_codes]
+    # an unbalanced file can name far more cells than it has rows, so only
+    # a full count of cells is binned
+    if fault or len(cell) != n * t or (np.bincount(cell) != 1).any():
+        present, first = np.unique(cell, return_index=True)
+        if len(present) < len(cell):
+            # every coded row precedes the fault, so a duplicate among them wins
+            repeat = np.ones(len(cell), dtype=bool)
+            repeat[first] = False
+            at = repeat.argmax()  # the first repeat in file order
+            uid, tlabel = list(units)[unit_codes[at]], list(times)[time_codes[at]]
+            row_no = np.concatenate(row_nos)[at]
+            raise PanelFormatError(
+                f"{path}: duplicate cell (id={uid}, time={tlabel}) at row {row_no}")
+        if fault:
+            raise PanelFormatError(fault)
+        # the first 10 missing cells, in unit x period order, lie below len(cell) + 10
+        low = np.arange(min(n * t, len(cell) + 10))
+        unit_order, n_missing = list(units), n * t - len(cell)
+        shown = ", ".join(f"({unit_order[c // t]},{time_order[c % t]})"
+                          for c in low[~np.isin(low, present)][:10])
+        more = "" if n_missing <= 10 else f" and {n_missing - 10} more"
+        raise PanelFormatError(f"{path}: unbalanced panel, missing cells {shown}{more}")
+    values = np.concatenate(values, axis=1)
     y = np.empty(n * t)
     y[cell] = values[0]
     x = np.empty((n * t, k))
@@ -181,75 +197,43 @@ def _read_blocks(path):
 
 def _block_columns(rows, k):
     """(ids, time labels, (k+1, rows) float values) of rows that all have
-    k + 3 fields with numbers in the value fields, else None."""
+    k + 3 fields with finite numbers in the value fields, else None."""
     if not rows:
         return (), (), np.empty((k + 1, 0))
     try:
         ids, labels, *fields = zip(*rows, strict=True)
         if len(fields) == k + 1:
-            # each field goes through float(), as in the row scan
-            return ids, labels, np.array(fields, dtype=float)
+            # each field goes through float(), as in _first_fault
+            values = np.array(fields, dtype=float)
+            if np.isfinite(values).all():
+                return ids, labels, values
     except ValueError:
         pass
     return None
 
 
-def _is_blank(row) -> bool:
-    return not row or all(not c.strip() for c in row)
-
-
-def _numbered_rows(path, reader):
-    """(row number, row) of each data row; a row the csv module cannot read
-    (a field over its size limit) raises an error naming that row."""
-    row_no = 1
-    try:
-        for row_no, row in enumerate(reader, start=2):
-            yield row_no, row
-    except csv.Error as exc:
-        raise PanelFormatError(f"{path}: row {row_no + 1} cannot be read: {exc}") from None
-
-
-def _raise_first_fault(path):
-    """Re-read ``path`` row by row and raise the error of its first fault in
-    file order; reached only when ``_read_blocks`` met a fault."""
-    with _data_rows(path) as (reader, k):
-        units: dict[str, None] = {}
-        times: set[str] = set()
-        cells: set[tuple[str, str]] = set()
-        for row_no, row in _numbered_rows(path, reader):
-            if _is_blank(row):
-                continue
+def _first_fault(path, rows, row_no, k):
+    """(the columns of the non-blank rows before the first faulty one, their
+    row numbers, that row's error message or None); ``row_no`` numbers
+    ``rows[0]``."""
+    numbered = [(n, row) for n, row in enumerate(rows, start=row_no) if any(map(str.strip, row))]
+    columns, message = _block_columns([row for _, row in numbered], k), None
+    if columns is None:  # some non-blank row is faulty: walk to the first
+        for i, (n, row) in enumerate(numbered):
             if len(row) != k + 3:
-                raise PanelFormatError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {k + 3}"
-                )
+                message = f"{path}: row {n} has {len(row)} fields, expected {k + 3}"
+                break
             try:
                 vals = [float(c) for c in row[2:]]
             except ValueError:
-                raise PanelFormatError(
-                    f"{path}: non-numeric field in row {row_no}: {row!r}"
-                ) from None
+                message = f"{path}: non-numeric field in row {n}: {row!r}"
+                break
             if not all(map(math.isfinite, vals)):
-                raise PanelFormatError(f"{path}: non-finite field in row {row_no}: {row!r}")
-            uid, tlabel = row[0].strip(), row[1].strip()
-            if (uid, tlabel) in cells:
-                raise PanelFormatError(
-                    f"{path}: duplicate cell (id={uid}, time={tlabel}) at row {row_no}"
-                )
-            units[uid] = None
-            times.add(tlabel)
-            cells.add((uid, tlabel))
-
-    if not cells:
-        raise PanelFormatError(f"{path}: no data rows")
-    time_order = _sort_time_labels(times)
-    n_missing = len(units) * len(time_order) - len(cells)
-    if n_missing:
-        missing = ((uid, tl) for uid in units for tl in time_order if (uid, tl) not in cells)
-        shown = ", ".join(f"({u},{t})" for u, t in islice(missing, 10))
-        more = "" if n_missing <= 10 else f" and {n_missing - 10} more"
-        raise PanelFormatError(f"{path}: unbalanced panel, missing cells {shown}{more}")
-    raise RuntimeError(f"{path}: the block reader rejected a panel the row scan accepts")
+                message = f"{path}: non-finite field in row {n}: {row!r}"
+                break
+        del numbered[i:]
+        columns = _block_columns([row for _, row in numbered], k)
+    return columns, [n for n, _ in numbered], message
 
 
 def _sort_time_labels(labels):

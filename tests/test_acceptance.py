@@ -145,7 +145,7 @@ def test_criterion_5_oracle_equivalence_suite():
     worst = 0.0
     for idx in range(51):
         fam_name = families[idx % 3]
-        family = Family.from_string(fam_name)
+        family = Family(fam_name)
         n = int(rng.integers(3, 6))
         t = int(rng.integers(4, 7))
         k = int(rng.integers(2, 4))

@@ -29,7 +29,7 @@ def _instance(rng, family_name, n=4, t=6, k=2, r=1, bw=1):
     panel = cp.Panel(y, x)
     fe = make_factor_estimate(f, psi=psi)
     fit = make_fit(beta, lam, fe, panel)
-    family = Family.from_string(family_name)
+    family = Family(family_name)
     bias = cp.compute_beta_bias(panel, fit, fe, family, bandwidth=bw)
     return panel, fe, fit, family, bias, (y, x, f, psi, beta, lam)
 

@@ -118,12 +118,6 @@ def test_unsupported_order():
         index_derivative(Family.LOGIT, 1, 0.0, 0)
 
 
-def test_family_from_string():
-    assert Family.from_string(" Logit ") is Family.LOGIT
-    with pytest.raises(InvalidInputError, match="unknown family"):
-        Family.from_string("tobit")
-
-
 # --------------------------------------------------------------------- #
 # finite-difference consistency (acceptance criterion backbone)
 # --------------------------------------------------------------------- #

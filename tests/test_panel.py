@@ -251,6 +251,14 @@ def test_read_panel_faults_past_the_first_block(tmp_path):
     _same_as_oracle(_write(tmp_path / "good.csv", ["id,time,y,x1"] + rows))
 
 
+def test_read_panel_opens_a_faulty_file_once(tmp_path):
+    path = _write(tmp_path / "p.csv", ["id,time,y,x1", "1,1,0,1", "1,2,zero,1", "2,1,0,1"])
+    with mock.patch.object(panel_module, "open", wraps=open, create=True) as opened:
+        with pytest.raises(PanelFormatError, match="non-numeric field in row 3"):
+            cp.read_panel_csv(path)
+    assert opened.call_count == 1
+
+
 def test_read_panel_names_a_row_over_the_csv_field_limit(tmp_path):
     # 1,200 rows: the over-long field (file row 1,100) is in the second
     # block; a duplicate in the first block comes first in file order
@@ -305,7 +313,8 @@ def garbled_csv(draw):
         if not rows:
             break
         at = draw(st.integers(0, len(rows) - 1))
-        kind = draw(st.sampled_from(["field", "field", "drop", "extra", "dup", "delete", "blank"]))
+        kind = draw(st.sampled_from(
+            ["field", "field", "drop", "extra", "dup", "delete", "blank", "long"]))
         if kind == "field" and len(rows[at]) > 2:
             rows[at][draw(st.integers(2, len(rows[at]) - 1))] = draw(st.sampled_from(ODD_FIELDS))
         elif kind == "drop":
@@ -316,6 +325,8 @@ def garbled_csv(draw):
             rows[at] = rows[draw(st.integers(0, len(rows) - 1))][:2] + rows[at][2:]
         elif kind == "delete":
             del rows[at]
+        elif kind == "long":  # a field over the csv module's size limit
+            rows.insert(at, ["u0", labels[0], "1" * 200_000] + ["0"] * k)
         else:
             rows.insert(at, [draw(st.sampled_from(BLANK_ROWS))])
     header = ",".join(["id", "time", "y"] + [f"x{j}" for j in range(1, k + 1)])
