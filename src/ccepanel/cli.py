@@ -57,13 +57,6 @@ def _rank_rules(panel: Panel, threshold: float | None) -> dict:
     }
 
 
-def _choose_rank(panel: Panel, args) -> dict:
-    rules = _rank_rules(panel, args.threshold)
-    if args.rank is not None:
-        return {"used": args.rank, "method": "user", **rules}
-    return {"used": rules["r_threshold"], "method": "threshold", **rules}
-
-
 def run_estimate(args) -> dict:
     if args.bandwidth < 0:
         raise InvalidInputError(f"bandwidth must be non-negative, got {args.bandwidth}")
@@ -83,11 +76,12 @@ def run_estimate(args) -> dict:
             raise InvalidInputError(f"{name} must have {k} entries, got {vals.shape[0]}")
     policy = PolicyPair(*policy_vectors.values()) if policy_vectors else None
     family = Family(args.family)
-    rank_info = _choose_rank(panel, args)
-    r = rank_info["used"]
-    if not 1 <= r <= k:
-        raise InvalidInputError(f"rank {r} outside 1..k={k}")
-    fe = estimate_factors(panel, r)
+    rules = _rank_rules(panel, args.threshold)
+    if args.rank is None:
+        rank_info = {"used": rules["r_threshold"], "method": "threshold", **rules}
+    else:
+        rank_info = {"used": args.rank, "method": "user", **rules}
+    fe = estimate_factors(panel, rank_info["used"])
     fit = fit_cce(panel, fe, family, opts)
     if not fit.converged:
         raise NumericalError(
@@ -108,17 +102,25 @@ def run_estimate(args) -> dict:
             "--loading-bound, e.g. 30, stops them where their contribution is "
             "negligible)"
         ) from exc
-    beta_corrected = None
-    spj_block = None
+    ape = ape_bias = None
+    if policy is not None:
+        ape = ape_estimate(fit, fe, family, policy)
+        ape_bias = compute_ape_bias(panel, fit, fe, family, policy, bias, args.bandwidth)
+
+    beta_corrected = ape_corrected = spj_block = None
     if args.correction == "analytical":
         beta_corrected = correct_beta(fit, bias, n, t)
+        if ape is not None:
+            ape_corrected = correct_ape(ape, bias, ape_bias, n, t)
     elif args.correction == "spj":
-        spj_beta, spj_ape = spj(panel, family, r, opts, policy, full=(fe, fit))
+        spj_beta, spj_ape = spj(panel, family, (fe, fit), opts, policy)
         if not spj_beta.converged:
             raise NumericalError(
                 f"jackknife subsample fits failed to converge: {spj_beta.failures}"
             )
         beta_corrected = np.asarray(spj_beta.corrected)
+        if spj_ape is not None:
+            ape_corrected = float(spj_ape.corrected)
         spj_block = {
             "full": list(spj_beta.full),
             "half_units": [list(np.asarray(v)) for v in spj_beta.half_n],
@@ -133,19 +135,10 @@ def run_estimate(args) -> dict:
     )
 
     ape_block = None
-    if policy is not None:
-        ape = ape_estimate(fit, fe, family, policy)
-        ape_bias = compute_ape_bias(panel, fit, fe, family, policy, bias, args.bandwidth)
-        ape_point = ape.value
-        ape_corrected = None
-        if args.correction == "analytical":
-            ape_corrected = correct_ape(ape, bias, ape_bias, n, t)
-            ape_point = ape_corrected
-        elif args.correction == "spj":
-            ape_corrected = float(spj_ape.corrected)
-            ape_point = ape_corrected
+    if ape is not None:
         sigma2 = ape_variance(panel, fit, fe, family, bias, ape_bias, args.bandwidth)
         se = float(np.sqrt(sigma2 / (n * t)))
+        ape_point = ape.value if ape_corrected is None else ape_corrected
         lo, hi = confidence_interval(ape_point, se, args.level)
         ape_block = {
             "x0": list(policy.x0),
@@ -197,53 +190,39 @@ def run_estimate(args) -> dict:
     return report
 
 
-def _print_estimate_report(report: dict, out=None):
-    out = out or sys.stdout
+def _print_estimate_report(report: dict):
     p = report["panel"]
-    print(
-        f"family={report['family']}  N={p['n_units']}  T={p['n_periods']}  "
-        f"k={p['n_covariates']}",
-        file=out,
-    )
+    print(f"family={report['family']}  N={p['n_units']}  T={p['n_periods']}  "
+          f"k={p['n_covariates']}")
     rank = report["rank"]
     print(
         f"rank: used r={rank['used']} ({rank['method']}); "
         f"threshold rule={rank['r_threshold']} at P={rank['threshold']:.4g}; "
-        f"ratio rule={rank['r_ratio']}",
-        file=out,
+        f"ratio rule={rank['r_ratio']}"
     )
-    print("eigenvalues: " + ", ".join(f"{v:.6g}" for v in report["eigenvalues"]), file=out)
+    print("eigenvalues: " + ", ".join(f"{v:.6g}" for v in report["eigenvalues"]))
     fit = report["fit"]
     print(
         f"fit: converged={fit['converged']} stop_reason={fit['stop_reason']} "
         f"iterations={fit['iterations']} "
         f"grad_norm={fit['grad_norm']:.3g} loglik={fit['loglik']:.6f} "
-        f"bound_hits={fit['bound_hits']}",
-        file=out,
+        f"bound_hits={fit['bound_hits']}"
     )
     beta = report["beta"]
     corrected = beta["corrected"] or beta["raw"]
-    print(
-        f"coefficients (correction={report['correction']}, L={report['bandwidth']}, "
-        f"level={report['level']}):",
-        file=out,
-    )
+    print(f"coefficients (correction={report['correction']}, L={report['bandwidth']}, "
+          f"level={report['level']}):")
     for j, (raw, pt, se, lo, hi) in enumerate(
         zip(beta["raw"], corrected, beta["std_errors"], beta["ci_lower"], beta["ci_upper"]),
         start=1,
     ):
-        print(
-            f"  x{j}: raw={raw:.6f} point={pt:.6f} se={se:.6f} "
-            f"ci=[{lo:.6f}, {hi:.6f}]",
-            file=out,
-        )
+        print(f"  x{j}: raw={raw:.6f} point={pt:.6f} se={se:.6f} ci=[{lo:.6f}, {hi:.6f}]")
     if report["ape"] is not None:
         a = report["ape"]
         pt = a["corrected"] if a["corrected"] is not None else a["estimate"]
         print(
             f"ape: estimate={a['estimate']:.6f} point={pt:.6f} se={a['std_error']:.6f} "
-            f"ci=[{a['ci_lower']:.6f}, {a['ci_upper']:.6f}]",
-            file=out,
+            f"ci=[{a['ci_lower']:.6f}, {a['ci_upper']:.6f}]"
         )
 
 
@@ -263,6 +242,14 @@ def run_factors(args) -> dict:
         **rules,
         "factors_csv": args.output,
     }
+
+
+def _print_factors_report(report: dict):
+    print("eigenvalues: " + ", ".join(f"{v:.6g}" for v in report["eigenvalues"]))
+    print(f"r (threshold rule, P={report['threshold']:.4g}): {report['r_threshold']}; "
+          f"r (ratio rule): {report['r_ratio']}")
+    if report["factors_csv"]:
+        print(f"factors written to {report['factors_csv']}")
 
 
 def run_simulate(args) -> dict:
@@ -286,6 +273,10 @@ def run_simulate(args) -> dict:
         "table_text": table.to_text(),
         "table_csv": table_csv,
     }
+
+
+def _print_simulate_report(report: dict):
+    print(report["table_text"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--threshold", type=float, default=None)
     fac.add_argument("--output", default=None, help="write estimated factors as CSV")
     fac.add_argument("--json", default=None)
-    fac.set_defaults(func=run_factors, printer=None)
+    fac.set_defaults(func=run_factors, printer=_print_factors_report)
 
     sim = sub.add_parser("simulate", help="Monte Carlo replication study")
     sim.add_argument("--n", type=int, required=True)
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--table-csv", default=None, help="write the results table here")
     sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--json", default=None)
-    sim.set_defaults(func=run_simulate, printer=None)
+    sim.set_defaults(func=run_simulate, printer=_print_simulate_report)
     return parser
 
 
@@ -343,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-        if getattr(args, "json", None):
+        if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
     # reads fail as PanelFormatError, so an OSError here is a failed write
@@ -354,19 +345,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    printer = getattr(args, "printer", None)
-    if printer is not None:
-        printer(report)
-    elif args.command == "factors":
-        print("eigenvalues: " + ", ".join(f"{v:.6g}" for v in report["eigenvalues"]))
-        print(
-            f"r (threshold rule, P={report['threshold']:.4g}): {report['r_threshold']}; "
-            f"r (ratio rule): {report['r_ratio']}"
-        )
-        if report["factors_csv"]:
-            print(f"factors written to {report['factors_csv']}")
-    elif args.command == "simulate":
-        print(report["table_text"])
+    args.printer(report)
     return 0
 
 

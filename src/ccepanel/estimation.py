@@ -43,6 +43,7 @@ _STEP_CAP = 16.0  # max loading move per inner iteration, per coordinate
 # tests allow rounding-level slack instead of rejecting the step.
 _EPS_SLACK = 64.0 * np.finfo(float).eps
 _HALVING_MAX = 50  # step halvings per line search
+_INNER_MAX = 50  # Newton rounds per loading solve
 
 
 @dataclass
@@ -189,7 +190,7 @@ def _loading_hessian(l2, f, pinned=None):
     return h
 
 
-def _line_search(trial, obj, g, step, scale, halving_max):
+def _line_search(trial, obj, g, step, scale):
     """Batched backtracking Armijo search, one row per subproblem.
 
     Rows whose ``step`` is not an ascent direction for the score ``g`` (a
@@ -203,7 +204,7 @@ def _line_search(trial, obj, g, step, scale, halving_max):
     slope = np.sum(g * step, axis=1)
     alpha, obj = np.ones(obj.size), obj.copy()
     pending = slope > 0
-    for _ in range(halving_max):
+    for _ in range(_HALVING_MAX):
         rows = np.flatnonzero(pending)
         if rows.size == 0:
             break
@@ -218,7 +219,7 @@ def _line_search(trial, obj, g, step, scale, halving_max):
     return step, alpha, obj, (slope > 0) & ~pending
 
 
-def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol, inner_max):
+def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol):
     """Batched per-unit Newton for the loading subproblems at fixed beta.
 
     ``z_base`` is the covariate part of the index, ``z`` the start index
@@ -232,7 +233,7 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol, inner_max):
     search keeps the densities of the points it accepts (``ld``, one row
     per active unit) for the next round; for the others keeping them would
     only cost a copy per trial.  A unit's l_1 and l_2 rows are stored when
-    it leaves the active set, at the point it stops at; if ``inner_max``
+    it leaves the active set, at the point it stops at; if ``_INNER_MAX``
     ends the loop right after accepted steps, only those units' rows are
     evaluated again.
     Returns updated loadings, the per-cell index, per-unit objective sums,
@@ -248,7 +249,7 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol, inner_max):
     act = np.arange(n)
     rounds = 0
 
-    for _ in range(inner_max):
+    for _ in range(_INNER_MAX):
         if act.size == 0:
             break
         rounds += 1
@@ -279,7 +280,7 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol, inner_max):
                 ld[rows] = d
             return d.sum(axis=1)
 
-        _, _, obj[act], ok = _line_search(trial, obj[act], g, step, t, _HALVING_MAX)
+        _, _, obj[act], ok = _line_search(trial, obj[act], g, step, t)
         lam[act[ok]] = lam_c[ok]
         z[act[ok]] = z_c[ok]
         if not ok.all():
@@ -298,10 +299,6 @@ def _pooled_beta(family: Family, y, x):
     """Coefficients from a no-loading pooled fit (deterministic warm start),
     with the index ``x @ beta`` and its log densities."""
     n, t, k = x.shape
-    if family is Family.GAUSSIAN:
-        beta = np.linalg.lstsq(x.reshape(n * t, k), y.reshape(n * t), rcond=None)[0]
-        z = x @ beta
-        return beta, z, _log_density_unchecked(family, y, z)
     beta = np.zeros(k)
     z = z_c = x @ beta
     ld = ld_c = _log_density_unchecked(family, y, z)
@@ -321,9 +318,7 @@ def _pooled_beta(family: Family, y, x):
             ld_c = _log_density_unchecked(family, y, z_c)
             return ld_c.sum()[None]
 
-        step, alpha, obj_c, ok = _line_search(
-            trial, np.array([obj]), g[None], step[None], n * t, _HALVING_MAX
-        )
+        step, alpha, obj_c, ok = _line_search(trial, np.array([obj]), g[None], step[None], n * t)
         if not ok[0]:
             break
         beta = beta + alpha[0] * step[0]
@@ -421,7 +416,7 @@ def fit_cce(
 
     for _ in range(opts.max_iterations):
         lam, z, obj_units, l1, l2, n_stalled, rounds = _solve_loadings(
-            family, y, z_base, z, ld, f, lam, bound, tol, inner_max=50
+            family, y, z_base, z, ld, f, lam, bound, tol
         )
         stalled += n_stalled
         loading_rounds.append(rounds)
@@ -479,9 +474,7 @@ def fit_cce(
             coefficient_trials += 1
             return ld_c.sum()[None]
 
-        db, alpha, obj_c, ok = _line_search(
-            trial, np.array([obj]), gb[None], db[None], n * t, _HALVING_MAX
-        )
+        db, alpha, obj_c, ok = _line_search(trial, np.array([obj]), gb[None], db[None], n * t)
         if not ok[0]:
             stop_reason = "coefficient_line_search_failed"
             break

@@ -122,7 +122,5 @@ def estimate_rank_threshold(panel: Panel, p_nt: float) -> int:
 
 def estimate_rank_ratio(panel: Panel) -> int:
     """Eigenvalue-ratio rank rule; undefined for k = 1."""
-    if panel.n_covariates < 2:
-        raise InvalidInputError("eigenvalue-ratio rank rule needs k >= 2")
     _, eigvals, _ = _spectrum(panel)
     return rank_from_eigenvalue_ratios(eigvals)

@@ -6,9 +6,10 @@ contiguous time halves (all units kept):
 
     corrected = 3 * full - (half_n1 + half_n2) / 2 - (half_t1 + half_t2) / 2
 
-Every subsample run repeats the complete two-step pipeline, including the
-re-estimation of the factors from the subsample's own cross-sectional
-averages; with an odd dimension the first half gets the extra row.
+Every subsample run repeats the complete two-step pipeline at the rank of
+the full-panel fit, including the re-estimation of the factors from the
+subsample's own cross-sectional averages; with an odd dimension the first
+half gets the extra row.
 """
 
 from __future__ import annotations
@@ -71,27 +72,23 @@ def split_half_panels(panel: Panel):
 def spj(
     panel: Panel,
     family: Family,
-    r: int,
+    full: tuple[FactorEstimate, CceFit],
     opts: FitOptions | None = None,
     policy: PolicyPair | None = None,
-    full: tuple[FactorEstimate, CceFit] | None = None,
 ) -> tuple[SpjResult, SpjResult | None]:
     """Jackknife-corrected coefficients and, given ``policy``, APE.
 
-    Both results come from the same five two-step fits (the full panel and
-    its four halves), all run with ``opts``.  ``full`` is the
-    ``(factors, fit)`` of a full-panel fit the caller already holds; it is
-    used as is, and reported in ``failures`` if it did not converge.
-    Returns ``(beta, ape)``; ``ape`` is None without a policy.
+    ``full`` is the ``(factors, fit)`` of the full-panel fit to correct; it
+    is used as is, and reported in ``failures`` if it did not converge.
+    The four halves are fit at its rank, ``full[0].r``, with ``opts``, and
+    both results come from the same five fits.  Returns ``(beta, ape)``;
+    ``ape`` is None without a policy.
     """
     halves = split_half_panels(panel)
-    if full is None:
-        fe = estimate_factors(panel, r)
-        full = (fe, fit_cce(panel, fe, family, opts))
     names = ("full", "units-1", "units-2", "periods-1", "periods-2")
     runs = [full]
     for sub in (*halves[0], *halves[1]):
-        fe = estimate_factors(sub, r)
+        fe = estimate_factors(sub, full[0].r)
         runs.append((fe, fit_cce(sub, fe, family, opts)))
     failures = [name for name, (_, fit) in zip(names, runs) if not fit.converged]
 

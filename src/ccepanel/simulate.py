@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import os
 from dataclasses import dataclass, field
@@ -199,7 +200,7 @@ def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir
 
     spj_value = None
     if "spj" in estimators:
-        spj_beta = spj(panel, family, TRUE_RANK, _FIT_OPTIONS, full=(fe, fit))[0]
+        spj_beta = spj(panel, family, (fe, fit), _FIT_OPTIONS)[0]
         if spj_beta.converged:
             spj_value = spj_beta.corrected[0]
 
@@ -222,10 +223,6 @@ def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir
             rec["spj"] = (err_spj, abs(err_spj) <= half_width)
         records[bw] = rec
     return records
-
-
-def _worker(packed):
-    return _replicate_once(*packed)
 
 
 def run_grid(
@@ -281,15 +278,14 @@ def run_grid(
 
     table = McTable()
     for n, t in sizes:
-        tasks = [
-            (base_seed, n, t, serial, tuple(l_values), tuple(estimators), rep, emit_dir)
-            for rep in range(n_reps)
-        ]
+        replicate = functools.partial(_replicate_once, base_seed, n, t, serial,
+                                      tuple(l_values), tuple(estimators), emit_dir=emit_dir)
         if n_jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                results = list(pool.map(_worker, tasks, chunksize=max(1, n_reps // (4 * n_jobs))))
+                results = list(pool.map(replicate, range(n_reps),
+                                        chunksize=max(1, n_reps // (4 * n_jobs))))
         else:
-            results = [_replicate_once(*task) for task in tasks]
+            results = list(map(replicate, range(n_reps)))
 
         for bw in l_values:
             for est in estimators:

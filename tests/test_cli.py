@@ -277,6 +277,16 @@ def test_estimate_negative_bandwidth_is_input_error(sim_csv, tmp_path, capsys, m
     assert fits == []
 
 
+def test_estimate_rank_outside_1_to_k_is_input_error(sim_csv, capsys, monkeypatch):
+    # sim_csv has 4 covariates, so a rank must lie in 1..4; no fit runs
+    fits = _record_fits(monkeypatch)
+    for rank in ("5", "0"):
+        assert main(["estimate", "--input", sim_csv, "--family", "logit", "--rank", rank]) == 2
+        err = capsys.readouterr().err
+        assert f"r={rank}" in err and "k=4" in err, err
+    assert fits == []
+
+
 def test_estimate_policy_errors_come_before_any_fit(sim_csv, capsys, monkeypatch):
     # pairing and parsing are checked before the panel is read, the length
     # (sim_csv has 4 covariates) right after it, so no fit runs

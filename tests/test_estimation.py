@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,10 +251,10 @@ def test_fit_reports_a_failed_coefficient_line_search(rng, monkeypatch):
     # stand in for a search that finds no increase: every single-row search
     # (the pooled start's and the coefficient step's) fails, the batched
     # loading searches run as is
-    def failing_search(trial, obj, g, step, scale, halving_max):
+    def failing_search(trial, obj, g, step, scale):
         if obj.size == 1:
             return step, np.ones(1), obj, np.zeros(1, dtype=bool)
-        return _line_search(trial, obj, g, step, scale, halving_max)
+        return _line_search(trial, obj, g, step, scale)
 
     monkeypatch.setattr("ccepanel.estimation._line_search", failing_search)
     panel = logit_test_panel(rng, n=15, t=12)
@@ -275,11 +276,13 @@ def test_fit_reports_a_singular_coefficient_system(rng):
     assert fit.beta.tolist() == [0.0]
 
     # a duplicated covariate: the pooled start takes gradient steps, and
-    # the first coefficient system is singular
+    # the first coefficient system is singular; gaussian included, whose
+    # pooled start is the same Newton search on a quadratic objective
     panel = duplicated_covariate_panel()
-    fit = cp.fit_cce(panel, cp.estimate_factors(panel, 2), Family.LOGIT)
-    assert fit.stop_reason == "singular_coefficient_system"
-    assert not fit.converged and fit.iterations == 0
+    for family in (Family.LOGIT, Family.GAUSSIAN):
+        fit = cp.fit_cce(panel, cp.estimate_factors(panel, 2), family)
+        assert fit.stop_reason == "singular_coefficient_system", family
+        assert not fit.converged and fit.iterations == 0
 
 
 def test_fit_stops_when_an_outer_iteration_gains_nothing():
@@ -400,10 +403,12 @@ def test_fit_options_reject_non_finite_and_non_integral(kwargs):
 # --------------------------------------------------------------------- #
 
 
-def test_line_search_fallback_rejection_and_zero_slope():
+def test_line_search_fallback_rejection_and_zero_slope(monkeypatch):
     # row 0: a descent step, searched along g / scale instead, accepted at
-    # alpha = 1/2; row 1: -inf (outside the domain) at every alpha; row 2:
-    # zero score, so no ascent direction exists and it is never tried
+    # alpha = 1/2; row 1: -inf (outside the domain) at every alpha, here
+    # six halvings; row 2: zero score, so no ascent direction exists and it
+    # is never tried
+    monkeypatch.setattr(est, "_HALVING_MAX", 6)
     obj = np.array([0.0, 1.0, 2.0])
     g = np.array([[4.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     step = np.array([[-1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
@@ -415,7 +420,7 @@ def test_line_search_fallback_rejection_and_zero_slope():
         value = obj[rows] + np.sum(g[rows] * move, axis=1) - 2.0 * np.sum(move * move, axis=1)
         return np.where(rows == 1, -np.inf, value)
 
-    new_step, alpha, new_obj, accepted = _line_search(trial, obj, g, step, 2.0, 6)
+    new_step, alpha, new_obj, accepted = _line_search(trial, obj, g, step, 2.0)
     assert accepted.tolist() == [True, False, False]
     assert_allclose(new_step[0], [2.0, 0.0], atol=0)
     assert_allclose(new_step[1], [1.0, 1.0], atol=0)  # an ascent step is kept
@@ -478,13 +483,14 @@ def test_solve_loadings_returns_the_derivatives_at_its_index(family, inner_max, 
             return line_search(failing, *args)
 
         monkeypatch.setattr(est, "_line_search", stalling)
+    monkeypatch.setattr(est, "_INNER_MAX", inner_max)
     rng = np.random.default_rng(5)
     y, x, f, _, beta, lam = orc.random_panel(rng, family.value, 40, 12, 2, 2)
     if family is not Family.POISSON:
         lam = np.zeros_like(lam)  # poisson keeps its positive index
     z_base = x @ beta
     out = _solve_loadings(family, y, z_base, *_start(family, y, z_base, f, lam), f,
-                          lam.copy(), 3.0, TOL, inner_max=inner_max)
+                          lam.copy(), 3.0, TOL)
     lam_out, z, obj, l1, l2, n_stalled, rounds = out
     assert rounds <= inner_max and (n_stalled > 0 or not stall)
     assert_allclose(z, x @ beta + lam_out @ f.T, rtol=1e-12)
@@ -648,10 +654,10 @@ def _solve_unit_loading(family, y, x, f, beta, bound=1e3, inner_max=200):
     t, r = f.shape
     y = np.asarray(y, dtype=float)[None, :]
     z_base, lam = (x @ beta)[None, :], np.zeros((1, r))
-    lam, z, _, _, _, _, _ = _solve_loadings(
-        family, y, z_base, *_start(family, y, z_base, f, lam), f, lam, bound, TOL,
-        inner_max=inner_max,
-    )
+    with mock.patch.object(est, "_INNER_MAX", inner_max):
+        lam, z, _, _, _, _, _ = _solve_loadings(
+            family, y, z_base, *_start(family, y, z_base, f, lam), f, lam, bound, TOL
+        )
     raw_score = float(np.abs(cp.index_derivative(family, y, z, 1) @ f).max()) / t
     return lam[0], raw_score
 

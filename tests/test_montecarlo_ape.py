@@ -48,7 +48,7 @@ def _ape_replications(n, t, reps, base_seed, with_spj=False):
             "cover": abs(corrected - true_ape) <= 1.959963984540054 * se,
         }
         if with_spj:
-            _, spj = cp.spj(draw.panel, Family.LOGIT, TRUE_RANK, OPTS, POLICY, full=(fe, fit))
+            _, spj = cp.spj(draw.panel, Family.LOGIT, (fe, fit), OPTS, POLICY)
             row["spj"] = spj.corrected - true_ape if spj.converged else None
         rows.append(row)
     return rows
