@@ -8,9 +8,13 @@ from .ape import ApeEstimate, PolicyPair, ape_estimate, partial_effect
 from .bias import (
     ApeBiasComponents,
     BetaBiasComponents,
+    InferenceResult,
+    ape_variance,
     bartlett_weight,
+    beta_covariance,
     compute_ape_bias,
     compute_beta_bias,
+    confidence_interval,
     correct_ape,
     correct_beta,
 )
@@ -28,12 +32,6 @@ from .factors import (
     estimate_factors,
     estimate_rank_ratio,
     estimate_rank_threshold,
-)
-from .inference import (
-    InferenceResult,
-    ape_variance,
-    beta_covariance,
-    confidence_interval,
 )
 from .jackknife import SpjResult, spj, spj_combine
 from .likelihood import Family, index_derivative, log_density

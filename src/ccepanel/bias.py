@@ -1,4 +1,5 @@
-"""Analytical bias correction for the coefficient and APE estimators.
+"""Analytical bias correction and HAC inference for the coefficient and
+APE estimators.
 
 Everything here is a plug-in sample counterpart evaluated at the
 uncorrected fit: per-unit information blocks in the factor directions,
@@ -13,9 +14,16 @@ reorganizes it by lag so the cost is linear in the bandwidth instead of
 quadratic in T; the equivalence with the naive double sums is
 oracle-tested.
 
-Per-unit information matrices must be well conditioned: a pseudo-inverse
-fallback would silently distort the corrections, so conditioning failures
-raise ``NumericalError`` naming the offending unit.
+The coefficient covariance is the sandwich of the inverted curvature
+matrix around a Bartlett-weighted long-run variance of the influence
+scores; the APE variance applies the same kernel sum to the scalar APE
+influence values.  The same bandwidth drives every kernel sum in the
+package.
+
+Per-unit information matrices and the curvature matrix must be well
+conditioned: a pseudo-inverse fallback would silently distort the
+corrections, so conditioning failures raise ``NumericalError`` (naming the
+offending unit for a per-unit block).
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .ape import ApeEstimate, PolicyPair, policy_grid
 from .estimation import CceFit, _loading_hessian, _row_outer, _sum_outer, _sum_weighted
@@ -42,6 +51,11 @@ class BetaBiasComponents:
     curvature of the concentrated objective, ``b1``, ``b2``, ``d1``,
     ``d2`` (k,) the bias pieces and ``influence`` (N,T,k) the cellwise
     influence scores of the coefficient estimator.
+
+    ``compute_beta_bias`` returns a record only after ``_condition_check``
+    has accepted the per-unit blocks A_i and ``Delta`` (finite, with cond at
+    most ``_COND_LIMIT``).  That check is the one gate: the corrections and
+    the variances solve against these matrices without a guard of their own.
     """
 
     xdot: np.ndarray
@@ -190,11 +204,7 @@ def compute_beta_bias(
     _condition_check(delta, "curvature matrix of the concentrated objective")
 
     # per-unit least squares of the covariates on the factors
-    ftf = f.T @ f
-    try:
-        gi_t = np.linalg.solve(ftf, np.einsum("tr,ntk->nrk", f, x))  # (N,r,k)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"factor gram matrix is singular: {exc}") from exc
+    gi_t = np.linalg.solve(f.T @ f, np.einsum("tr,ntk->nrk", f, x))  # (N,r,k)
     e_hat = x - np.einsum("nkr,tr->ntk", gi_t.transpose(0, 2, 1), f)
 
     # the (N, T, k) products are not kept: they would raise the peak memory below
@@ -234,11 +244,7 @@ def compute_beta_bias(
 def correct_beta(fit: CceFit, bias: BetaBiasComponents, n_units: int, n_periods: int) -> np.ndarray:
     """Bias-corrected coefficients: subtract the plug-in 1/T and 1/N terms."""
     adjustment = bias.b / n_periods + bias.d / n_units
-    try:
-        shift = np.linalg.solve(bias.Delta, adjustment)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"curvature matrix is singular: {exc}") from exc
-    return fit.beta - shift
+    return fit.beta - np.linalg.solve(bias.Delta, adjustment)
 
 
 def compute_ape_bias(
@@ -298,12 +304,84 @@ def correct_ape(
     n_periods: int,
 ) -> float:
     """Bias-corrected APE scalar."""
-    try:
-        delta_inv_b = np.linalg.solve(beta_bias.Delta, beta_bias.b)
-        delta_inv_d = np.linalg.solve(beta_bias.Delta, beta_bias.d)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"curvature matrix is singular: {exc}") from exc
+    delta_inv_b = np.linalg.solve(beta_bias.Delta, beta_bias.b)
+    delta_inv_d = np.linalg.solve(beta_bias.Delta, beta_bias.d)
     g = ape_bias.gamma
     t_term = (g @ delta_inv_b + ape_bias.b3 + ape_bias.b4) / n_periods
     n_term = (g @ delta_inv_d + ape_bias.d3 + ape_bias.d4) / n_units
     return float(ape.value - t_term - n_term)
+
+
+@dataclass
+class InferenceResult:
+    """Sandwich covariance, standard errors and normal-quantile intervals."""
+
+    covariance: np.ndarray
+    std_errors: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+
+
+def beta_covariance(
+    panel: Panel,
+    fit: CceFit,
+    factors: FactorEstimate,
+    family: Family,
+    bias: BetaBiasComponents,
+    bandwidth: int,
+    level: float = 0.95,
+    point: np.ndarray | None = None,
+) -> InferenceResult:
+    """Sandwich covariance of the coefficients and level-alpha intervals.
+
+    Intervals are centered on ``point`` (the bias-corrected estimate when
+    one is supplied; the raw estimate otherwise).
+    """
+    n, t = panel.outcomes.shape
+    w = bias.influence
+    omega = lag_cross_sum(w, w, bandwidth).sum(axis=0) / (n * t)
+    omega = 0.5 * (omega + omega.T)  # purge rounding asymmetry
+    half = np.linalg.solve(bias.Delta, omega)
+    cov = np.linalg.solve(bias.Delta, half.T).T / (n * t)
+    cov = 0.5 * (cov + cov.T)
+    se = np.sqrt(np.maximum(np.diagonal(cov), 0.0))
+    center = fit.beta if point is None else np.asarray(point, dtype=float)
+    lo, hi = confidence_interval(center, se, level)
+    return InferenceResult(covariance=cov, std_errors=se, ci_lower=lo, ci_upper=hi)
+
+
+def ape_variance(
+    panel: Panel,
+    fit: CceFit,
+    factors: FactorEstimate,
+    family: Family,
+    bias: BetaBiasComponents,
+    ape_bias: ApeBiasComponents,
+    bandwidth: int,
+) -> float:
+    """Long-run variance of the APE influence values (the APE standard
+    error is sqrt of this divided by N*T)."""
+    n, t = panel.outcomes.shape
+    gd = np.linalg.solve(bias.Delta, ape_bias.gamma)
+    rf_minus_gt = np.einsum("trq,tq->tr", ape_bias.R_t, factors.factors) - ape_bias.gamma_t
+    v = (
+        np.einsum("k,ntk->nt", gd, bias.influence)
+        + np.einsum("tr,ntr->nt", rf_minus_gt, bias.e_rot)
+        + bias.l1 * ape_bias.proj_if
+    )
+    total = float(lag_cross_sum(v[..., None], v[..., None], bandwidth).sum())
+    return max(total / (n * t), 0.0)
+
+
+def confidence_interval(point, std_error, level: float):
+    """Two-sided normal interval(s): point +/- z_(1+level)/2 * std_error."""
+    if not 0.0 < level < 1.0:
+        raise InvalidInputError(f"confidence level must be in (0, 1), got {level}")
+    z = float(special.ndtri(0.5 * (1.0 + level)))
+    point = np.asarray(point, dtype=float)
+    std_error = np.asarray(std_error, dtype=float)
+    lo = point - z * std_error
+    hi = point + z * std_error
+    if lo.ndim == 0:
+        return float(lo), float(hi)
+    return lo, hi

@@ -16,7 +16,15 @@ import sys
 import numpy as np
 
 from .ape import PolicyPair, ape_estimate
-from .bias import compute_ape_bias, compute_beta_bias, correct_ape, correct_beta
+from .bias import (
+    ape_variance,
+    beta_covariance,
+    compute_ape_bias,
+    compute_beta_bias,
+    confidence_interval,
+    correct_ape,
+    correct_beta,
+)
 from .estimation import FitOptions, fit_cce
 from .exceptions import InvalidInputError, NumericalError
 from .factors import (
@@ -25,7 +33,6 @@ from .factors import (
     estimate_rank_ratio,
     estimate_rank_threshold,
 )
-from .inference import ape_variance, beta_covariance, confidence_interval
 from .jackknife import spj
 from .likelihood import Family
 from .panel import Panel, read_panel_csv

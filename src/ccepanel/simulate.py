@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bias import compute_beta_bias, correct_beta
+from .bias import beta_covariance, compute_beta_bias, confidence_interval, correct_beta
 from .estimation import FitOptions, fit_cce
 from .exceptions import InvalidInputError, NumericalError
 from .factors import estimate_factors
-from .inference import beta_covariance
 from .jackknife import spj
 from .likelihood import Family
 from .panel import Panel, write_panel_csv
@@ -211,7 +210,7 @@ def _replicate_once(base_seed, n, t, serial, l_values, estimators, rep, emit_dir
             inf = beta_covariance(panel, fit, fe, family, bias, bandwidth=bw)
         except NumericalError:
             continue  # conditioning failure: rep counts as failed for this bandwidth
-        half_width = 1.959963984540054 * float(inf.std_errors[0])
+        half_width = confidence_interval(0.0, float(inf.std_errors[0]), 0.95)[1]
         rec = {}
         if "raw" in estimators:
             rec["raw"] = (err_raw, abs(err_raw) <= half_width)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
@@ -26,6 +26,7 @@ from ccepanel.jackknife import split_half_panels
 from ccepanel.likelihood import Family, _index_derivatives
 from ccepanel.simulate import replication_seed
 from conftest import (
+    RecordedDraws,
     assert_einsum,
     draw_panel_shapes,
     duplicated_covariate_panel,
@@ -621,6 +622,10 @@ def test_gemm_form_is_optimized_einsum_bit_for_bit(subscripts, data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+# a draw on which the k = 1 sum over units and loading coordinates cancels
+# to 7.3e-4 from terms of order one, and the GEMM and einsum orders differ
+# by 2.5e-15: the slack must scale with the terms, not with the result
+@example(data=RecordedDraws(n=34, t=35, k=1, r=3, seed=35, pinned_share=0.3))
 def test_gemm_contractions_match_their_einsum_definitions(data):
     # the coefficient score and the Schur step's sums over units and loading
     # coordinates, here on a transposed view; the other contractions are
@@ -635,13 +640,14 @@ def test_gemm_contractions_match_their_einsum_definitions(data):
 
     # the loading curvature: plain, then with pinned sets of every density
     plain = np.einsum("nt,tr,ts->nrs", l, f, f)
+    slack = 1e-12 * np.einsum("nt,tr,ts->nrs", np.abs(l), np.abs(f), np.abs(f))
     assert_einsum(_loading_hessian(l, f), "nt,tr,ts->nrs", l, f, f)
-    pinned = rng.uniform(size=(n, r)) < data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    share = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="pinned_share")
+    pinned = rng.uniform(size=(n, r)) < share
     h = _loading_hessian(l, f, pinned)
     for i in range(n):
         free, pin = np.flatnonzero(~pinned[i]), np.flatnonzero(pinned[i])
-        assert_allclose(h[i][np.ix_(free, free)], plain[i][np.ix_(free, free)], rtol=1e-12,
-                        atol=1e-12 * np.abs(plain).max())
+        assert np.all(np.abs(h[i] - plain[i])[np.ix_(free, free)] <= slack[i][np.ix_(free, free)])
         assert np.all(h[i][np.ix_(pin, free)] == 0.0) and np.all(h[i][np.ix_(free, pin)] == 0.0)
         assert h[i][np.ix_(pin, pin)].tolist() == (-np.eye(pin.size)).tolist()
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import re
 import shlex
@@ -72,3 +73,19 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_module_names_resolve():
+    # every backticked `ccepanel.<module>.<name>` and `ccepanel/<module>.py`
+    # in the README exists, so that moving code between modules cannot
+    # leave the README naming a module or function that is gone
+    dotted = re.findall(r"`ccepanel\.(\w+)\.(\w+)`", README)
+    files = re.findall(r"`ccepanel/(\w+)\.py`", README)
+    assert dotted and files
+    package = Path(cp.__file__).parent
+    for module in {m for m, _ in dotted} | set(files):
+        assert (package / f"{module}.py").is_file(), f"README names ccepanel/{module}.py"
+    for module, name in dotted:
+        assert hasattr(importlib.import_module(f"ccepanel.{module}"), name), (
+            f"README names ccepanel.{module}.{name}"
+        )
