@@ -228,14 +228,18 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol):
     score meets the tolerance leave the active set, so late iterations
     only touch the stragglers (separated units crawling to the bound).
 
+    The active units' rows (outcomes, index parts, loadings, objectives
+    and, for probit, log densities) are kept as compact arrays, gathered
+    again only when units leave; a line-search trial over every active
+    unit, the first of each round, then works on them with no gather or
+    scatter, and an accepted round takes its trial arrays as they are.
     Each cell's log density, l_1 and l_2 are evaluated once per point.  For
     a family whose derivatives read the log density (probit), the line
-    search keeps the densities of the points it accepts (``ld``, one row
-    per active unit) for the next round; for the others keeping them would
-    only cost a copy per trial.  A unit's l_1 and l_2 rows are stored when
-    it leaves the active set, at the point it stops at; if ``_INNER_MAX``
-    ends the loop right after accepted steps, only those units' rows are
-    evaluated again.
+    search keeps the densities of the points it accepts for the next
+    round; for the others keeping them would only cost a copy per trial.
+    A unit's point and its l_1 and l_2 rows are stored when it leaves the
+    active set; if ``_INNER_MAX`` ends the loop right after accepted steps,
+    only those units' rows are evaluated again.
     Returns updated loadings, the per-cell index, per-unit objective sums,
     l_1 and l_2 at that index, the number of unit line searches that
     failed, and the number of rounds.
@@ -243,25 +247,37 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol):
     n, t = y.shape
     obj = ld.sum(axis=1)
     keep_ld = _reads_log_density(family)
-    ld = ld if keep_ld else None
     l1_out, l2_out = np.empty((n, t)), np.empty((n, t))
     n_stalled = 0
-    act = np.arange(n)
     rounds = 0
+    # the working set: one row per active unit, never written in place
+    act = np.arange(n)
+    ya, zba, za, lama, obja = y, z_base, z, lam, obj
+    lda = ld if keep_ld else None
+
+    def leave(go, l1, l2):
+        """Store the point and derivatives of the active rows ``go``."""
+        units = act[go]
+        lam[units], z[units], obj[units] = lama[go], za[go], obja[go]
+        l1_out[units], l2_out[units] = l1, l2
 
     for _ in range(_INNER_MAX):
         if act.size == 0:
             break
         rounds += 1
-        l1, l2 = _index_derivatives(family, y[act], z[act], 2, ld)
-        g, pinned = _loading_score(l1, f, lam[act], bound)
+        l1, l2 = _index_derivatives(family, ya, za, 2, lda)
+        g, pinned = _loading_score(l1, f, lama, bound)
         live = np.abs(g).max(axis=1) / t > tol
-        l1_out[act[~live]], l2_out[act[~live]] = l1[~live], l2[~live]
         rows_live = np.flatnonzero(live)
-        act, g, pinned, l2 = act[rows_live], g[rows_live], pinned[rows_live], l2[rows_live]
-        if act.size == 0:
-            break
-        ya, lama = y[act], lam[act]
+        if rows_live.size < act.size:
+            leave(~live, l1[~live], l2[~live])
+            act, ya, zba, za, lama, obja = (
+                a[rows_live] for a in (act, ya, zba, za, lama, obja))
+            lda = lda[rows_live] if keep_ld else None
+            g, pinned, l2 = g[rows_live], pinned[rows_live], l2[rows_live]
+            if act.size == 0:
+                break
+        m = act.size
         step = -_solve_neg_definite(_loading_hessian(l2, f, pinned), g[:, :, None])[:, :, 0]
         big = np.abs(step).max(axis=1)
         over = big > _STEP_CAP
@@ -269,29 +285,30 @@ def _solve_loadings(family, y, z_base, z, ld, f, lam, bound, tol):
             step[over] *= (_STEP_CAP / big[over])[:, None]
 
         lam_c = np.empty_like(lama)
-        z_c = np.empty((act.size, t))
-        ld = np.empty((act.size, t)) if keep_ld else None
+        z_c = np.empty((m, t))
+        ld_c = np.empty((m, t)) if keep_ld else None
 
         def trial(rows, step, alpha):
-            lam_c[rows] = np.clip(lama[rows] + alpha[:, None] * step, -bound, bound)
-            z_c[rows] = z_base[act[rows]] + lam_c[rows] @ f.T
-            d = _log_density_unchecked(family, ya[rows], z_c[rows])
+            sel = slice(None) if rows.size == m else rows
+            lam_c[sel] = np.clip(lama[sel] + alpha[:, None] * step, -bound, bound)
+            z_c[sel] = zba[sel] + lam_c[sel] @ f.T
+            d = _log_density_unchecked(family, ya[sel], z_c[sel])
             if keep_ld:
-                ld[rows] = d
+                ld_c[sel] = d
             return d.sum(axis=1)
 
-        _, _, obj[act], ok = _line_search(trial, obj[act], g, step, t)
-        lam[act[ok]] = lam_c[ok]
-        z[act[ok]] = z_c[ok]
+        _, _, obj_c, ok = _line_search(trial, obja, g, step, t)
         if not ok.all():
             stalled = ~ok
-            l1_out[act[stalled]] = l1[rows_live[stalled]]
-            l2_out[act[stalled]] = l2[stalled]
+            leave(stalled, l1[rows_live[stalled]], l2[stalled])
             n_stalled += int(stalled.sum())
-            act, ld = act[ok], ld[ok] if keep_ld else None
+            act, ya, zba, lam_c, z_c, obj_c = (
+                a[ok] for a in (act, ya, zba, lam_c, z_c, obj_c))
+            ld_c = ld_c[ok] if keep_ld else None
+        lama, za, obja, lda = lam_c, z_c, obj_c, ld_c
 
     if act.size:
-        l1_out[act], l2_out[act] = _index_derivatives(family, y[act], z[act], 2, ld)
+        leave(slice(None), *_index_derivatives(family, ya, za, 2, lda))
     return lam, z, obj, l1_out, l2_out, n_stalled, rounds
 
 

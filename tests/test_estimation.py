@@ -500,6 +500,46 @@ def test_solve_loadings_returns_the_derivatives_at_its_index(family, inner_max, 
     assert np.array_equal(obj, cp.log_density(family, y, z).sum(axis=1))
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_batched_loading_solve_is_each_unit_solved_alone(family, monkeypatch):
+    # the batch keeps its active rows compact and gathers them again as
+    # units leave, in different rounds here; each unit's result must be the
+    # one it gets as a one-row batch.  One unit's line search always fails:
+    # every trial density of its outcome row is -inf, keyed on the unit's
+    # data, so it stalls wherever its row sits in the working set
+    rng = np.random.default_rng(8)
+    y, x, f, _, beta, lam = orc.random_panel(rng, family.value, 30, 12, 2, 2)
+    if family is not Family.POISSON:
+        lam = np.zeros_like(lam)  # poisson keeps its positive index
+    z_base = x @ beta
+    z, ld = _start(family, y, z_base, f, lam)  # the batch updates its z in place
+    stall = 7
+    assert np.all(y == y[stall], axis=1).sum() == 1
+    density = est._log_density_unchecked
+
+    def failing(family, y_rows, z):
+        d = density(family, y_rows, z)
+        d[np.all(y_rows == y[stall], axis=1)] = -np.inf
+        return d
+
+    monkeypatch.setattr(est, "_log_density_unchecked", failing)
+    alone = [_solve_loadings(family, y[i:i + 1], z_base[i:i + 1], z[i:i + 1].copy(),
+                             ld[i:i + 1], f, lam[i:i + 1].copy(), 3.0, TOL)
+             for i in range(len(y))]
+    lam_b, z_b, obj_b, _, _, stalled_b, rounds_b = _solve_loadings(
+        family, y, z_base, z, ld, f, lam.copy(), 3.0, TOL)
+    assert_allclose(lam_b, np.concatenate([a[0] for a in alone]), rtol=1e-12)
+    assert_allclose(z_b, np.concatenate([a[1] for a in alone]), rtol=1e-12)
+    assert_allclose(obj_b, np.concatenate([a[2] for a in alone]), rtol=1e-12)
+    assert [a[5] for a in alone][stall] == 1
+    assert stalled_b == sum(a[5] for a in alone)
+    rounds = [a[6] for a in alone]
+    assert rounds_b == max(rounds)
+    # units leave in different rounds (gaussian: the stalled unit, then the
+    # rest after their one Newton step)
+    assert len(set(rounds)) >= (2 if family is Family.GAUSSIAN else 3)
+
+
 def _start(family, y, z_base, f, lam):
     """The start index of a loading solve and its log densities."""
     z = z_base + lam @ f.T
