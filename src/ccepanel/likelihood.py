@@ -89,6 +89,17 @@ def _norm_logpdf(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
+def _log_expit(u):
+    """log G(u) for the logistic CDF G, as min(u, 0) - log1p(exp(-|u|)).
+
+    numpy's vectorized exp and log1p make this several times faster per
+    cell than ``special.log_expit``, within a few ulp of it; exp(-|u|)
+    never overflows, and log1p keeps full precision where it underflows
+    toward 0 (u -> +inf), so there is no cancellation in either tail.
+    """
+    return np.minimum(u, 0.0) - np.log1p(np.exp(-np.abs(u)))
+
+
 def _outcome_sign(y):
     """s = 2y - 1: +1 at y = 1 and -1 at y = 0 (binary outcomes only)."""
     return 2.0 * y - 1.0
@@ -210,7 +221,7 @@ def _log_density_unchecked(family: Family, y, z):
     the domain is rejected by its objective."""
     if family is Family.LOGIT:
         # log G(z) at y = 1, log(1 - G(z)) = log G(-z) at y = 0
-        return np.asarray(special.log_expit(_outcome_sign(y) * z))
+        return np.asarray(_log_expit(_outcome_sign(y) * z))
     if family is Family.PROBIT:
         return np.asarray(special.log_ndtr(_outcome_sign(y) * z))
     if family is Family.POISSON:

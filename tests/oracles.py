@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special, stats
 
 from ccepanel import Panel, PanelFormatError
+from ccepanel.likelihood import _log_expit
 
 
 def derivs(family: str, y, z, order: int):
@@ -74,7 +75,7 @@ def binary_log_density_two_branch(family: str, y, z):
     """y log G(z) + (1 - y) log G(-z), both branches at every cell, through
     the package's log-CDF calls: the reference its one-evaluation binary
     density must reproduce float for float."""
-    log_cdf = special.log_expit if family == "logit" else special.log_ndtr
+    log_cdf = _log_expit if family == "logit" else special.log_ndtr
     return y * log_cdf(z) + (1.0 - y) * log_cdf(-z)
 
 

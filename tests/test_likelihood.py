@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy import special
 
 from ccepanel import InvalidInputError, index_derivative, log_density
 from ccepanel.likelihood import (
     Family,
     _index_derivatives,
     _log_density_unchecked,
+    _log_expit,
     response_curve,
     validate_outcomes,
 )
@@ -225,6 +227,37 @@ def test_binary_fold_is_exact_on_drawn_arrays(family, data):
     _assert_fold_matches_two_branch(family, y, z)
     y = data.draw(hnp.arrays(np.float64, z.shape, elements=st.sampled_from([0.0, 1.0])))
     _assert_fold_matches_two_branch(family, y, z)
+
+
+# the logistic log-CDF is numpy's exp and log1p, not scipy's scalar
+# log_expit: the two must agree within a few ulp, and exactly where either
+# value is zero (or infinite), up to the sign of a zero
+_LOG_EXPIT_ULPS = 4
+_LOG_EXPIT_GRID = np.array(
+    [0.0, 5e-324, 1e-300, 36.0, 37.0, 709.0, 745.0, 1e300, np.inf]
+)
+
+
+def _assert_log_expit_matches_scipy(u):
+    got, want = _log_expit(u), special.log_expit(u)
+    edge = (got == 0.0) | (want == 0.0) | np.isinf(got) | np.isinf(want)
+    assert np.array_equal(got[edge], want[edge])
+    # both negative: the distance of their bit patterns counts the ulps
+    got, want = got[~edge], want[~edge]
+    assert np.all((got < 0.0) & (want < 0.0))
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert np.all(ulps <= _LOG_EXPIT_ULPS), ulps.max()
+
+
+def test_log_expit_is_within_ulps_of_scipy_on_the_grid():
+    _assert_log_expit_matches_scipy(np.concatenate([_LOG_EXPIT_GRID, -_LOG_EXPIT_GRID]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=hnp.arrays(np.float64, hnp.array_shapes(max_dims=1, max_side=64),
+                    elements=st.floats(allow_nan=False)))
+def test_log_expit_is_within_ulps_of_scipy_on_drawn_arrays(u):
+    _assert_log_expit_matches_scipy(u)
 
 
 def test_binary_fold_stays_finite_where_the_two_branch_form_does_not():
