@@ -71,10 +71,14 @@ class Panel:
         return self.covariates.shape[2]
 
     def subpanel(self, units=slice(None), periods=slice(None)) -> "Panel":
-        """New Panel restricted to the given unit/period slices."""
+        """New Panel restricted to the given unit/period slices.
+
+        Its arrays are C-contiguous (a period slice is copied), so the
+        fit's reshapes of them are views rather than copies.
+        """
         return Panel(
-            self.outcomes[units, periods],
-            self.covariates[units, periods, :],
+            np.ascontiguousarray(self.outcomes[units, periods]),
+            np.ascontiguousarray(self.covariates[units, periods, :]),
         )
 
 

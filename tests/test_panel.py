@@ -106,6 +106,9 @@ def test_subpanel_slices():
     sub = panel.subpanel(units=slice(0, 2), periods=slice(1, 4))
     assert (sub.n_units, sub.n_periods) == (2, 3)
     assert_allclose(sub.outcomes, y[:2, 1:])
+    assert_allclose(sub.covariates, x[:2, 1:])
+    # the fit reshapes a period half's arrays on every outer iteration
+    assert sub.outcomes.flags.c_contiguous and sub.covariates.flags.c_contiguous
 
 
 # --- the CSV reader against the row-by-row oracle -------------------------
