@@ -150,10 +150,7 @@ def _condition_check(mats: np.ndarray, label: str):
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if bad.any():
         unit = int(np.argmax(cond))
-        raise NumericalError(
-            f"{label} is near-singular for unit {unit} "
-            f"(cond={cond[unit]:.3g}); cannot form bias corrections"
-        )
+        raise NumericalError(f"{label} is near-singular for unit {unit} (cond={cond[unit]:.3g})")
 
 
 def compute_beta_bias(

@@ -101,14 +101,18 @@ def run_estimate(args) -> dict:
     try:
         bias = compute_beta_bias(panel, fit, fe, family, bandwidth=args.bandwidth)
     except NumericalError as exc:
-        if not fit.bound_hits:  # no runaway loadings: the hint would mislead
-            raise
-        raise NumericalError(
-            f"{exc}; {fit.bound_hits} unit(s) at the loading bound (units with "
-            "runaway loadings usually mean perfect separation; a smaller "
-            "--loading-bound, e.g. 30, stops them where their contribution is "
-            "negligible)"
-        ) from exc
+        # the plug-in record gives every run its standard errors
+        needs = ("bias corrections and standard errors"
+                 if args.correction == "analytical" else "standard errors")
+        message = f"{exc}; cannot form {needs}"
+        if fit.bound_hits:  # without runaway loadings the hint would mislead
+            message += (
+                f"; {fit.bound_hits} unit(s) at the loading bound (units with "
+                "runaway loadings usually mean perfect separation; a smaller "
+                "--loading-bound, e.g. 30, stops them where their contribution "
+                "is negligible)"
+            )
+        raise NumericalError(message) from exc
     ape = ape_bias = None
     if policy is not None:
         ape = ape_estimate(fit, fe, family, policy)

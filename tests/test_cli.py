@@ -164,6 +164,26 @@ def test_separation_hint_needs_a_unit_at_the_loading_bound(tmp_path, capsys):
     assert "perfect separation" in err
 
 
+@pytest.mark.parametrize("correction, needs", [
+    ("none", "cannot form standard errors"),
+    ("spj", "cannot form standard errors"),
+    ("analytical", "cannot form bias corrections and standard errors"),
+])
+def test_refusal_names_what_the_run_needed(correction, needs, tmp_path, capsys):
+    # a unit's information block is near-singular, so the plug-in record
+    # cannot be formed; every run needs it for its standard errors, and only
+    # the analytical one for its correction too
+    draw = cp.generate(cp.DgpConfig(n_units=60, n_periods=40, serial=True, seed=5))
+    path = tmp_path / "near_singular.csv"
+    cp.write_panel_csv(draw.panel, path)
+    code = main(["estimate", "--input", str(path), "--family", "logit",
+                 "--correction", correction, "--bandwidth", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "near-singular for unit 42" in err
+    assert err.count("cannot form") == 1 and needs + "\n" in err
+
+
 def test_estimate_spj_report_carries_identity(sim_csv, tmp_path):
     out = tmp_path / "spj.json"
     code = main([
